@@ -351,7 +351,7 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
     if (health.Sick(dev) && !health.AdmitProbe(dev)) {
       const auto route =
           store_->device_service().FindReplicaRoute(table.extent_id, dev);
-      if (route.has_value() && tuning.coalesce_io) {
+      if (route.has_value()) {
         st->io_device = route->device;
         st->io_shift = route->shift;
       } else {
@@ -363,20 +363,6 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
         return;
       }
     }
-  }
-
-  if (!tuning.coalesce_io) {
-    // Per-row ablation path: one device IO per missing row.
-    int ios = 0;
-    for (const auto& slot : st->slots) ios += slot.needs_io ? 1 : 0;
-    st->outstanding_ios = ios;
-    for (uint32_t i = 0; i < st->slots.size(); ++i) {
-      if (st->slots[i].needs_io) SubmitRowIo(st, i);
-    }
-    if (Prefetcher* pf = store_->prefetcher(); pf != nullptr) {
-      pf->MaybeIssue(st->request.table);
-    }
-    return;
   }
 
   DirectIoReader& reader = store_->reader(table.sm_device);
@@ -392,17 +378,18 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
 
   // Planning (dedup happened at slot resolution; block grouping and
   // adjacent-run merging live in the planner) is pure; batching across
-  // concurrent requests is the scheduler's job.
+  // concurrent requests is the scheduler's job. The per-row ablation plans
+  // with a zero cap — one run per miss — through the same scheduler, which
+  // SharedDeviceService built in bypass mode for it.
   PlannerConfig pcfg;
   pcfg.row_bytes = rb;
   pcfg.sub_block = sgl;
-  pcfg.max_coalesce_bytes = tuning.max_coalesce_bytes;
+  pcfg.max_coalesce_bytes = tuning.coalesce_io ? tuning.max_coalesce_bytes : 0;
   pcfg.coalesce_gap_bytes = tuning.coalesce_gap_bytes;
   IoPlan plan = IoPlanner::Plan(std::move(misses), pcfg);
 
-  st->outstanding_ios = static_cast<int>(plan.TotalIos());
-  for (const uint32_t i : plan.fallback_slots) SubmitRowIo(st, i);
-  if (!plan.runs.empty()) SubmitPlannedRuns(st, std::move(plan.runs));
+  st->outstanding_ios = static_cast<int>(plan.runs.size());
+  SubmitPlannedRuns(st, std::move(plan.runs));
 
   // Demand runs are enqueued (holding whatever batch is forming); now let
   // the prefetcher speculate into the scheduler's low-priority lane, where
@@ -410,166 +397,6 @@ void LookupEngine::StartIoPhase(std::shared_ptr<RequestState> st) {
   if (Prefetcher* pf = store_->prefetcher(); pf != nullptr) {
     pf->MaybeIssue(st->request.table);
   }
-}
-
-void LookupEngine::SubmitRowIo(const std::shared_ptr<RequestState>& st,
-                               uint32_t slot_index) {
-  const TableRuntime& table = store_->table(st->request.table);
-  DirectIoReader& reader = store_->reader(st->io_device);
-  const bool block_mode = store_->block_cache() != nullptr && table.cache_enabled;
-
-  auto& slot = st->slots[slot_index];
-  // `off` stays in primary space (cache keys live there); the device offset
-  // applies the request's replica shift at issue time.
-  const Bytes off = table.offset + slot.physical_row * st->stored_row_bytes;
-  const int64_t shift = st->io_shift;
-  std::span<uint8_t> dest(st->row_bytes.data() + slot_index * st->stored_row_bytes,
-                          st->stored_row_bytes);
-  const RowIndex physical = slot.physical_row;
-
-  ++st->trace.device_reads;
-  device_reads_->Add(1);
-  if (st->io_device != table.sm_device) {
-    ++st->trace.replica_reads;
-    replica_reads_->Add(1);
-  }
-
-  // Shared completion: cache fills + join bookkeeping. Errored reads count
-  // only toward io_errors, not toward rows served from SM. `device` is the
-  // device that served (or terminally failed) the row — after a repair
-  // re-drive it differs from st->io_device.
-  auto on_row_done = [this, st, slot_index, dest, physical](Status status,
-                                                           size_t device) {
-    store_->ReleaseIoSlot(st->request.table);
-    store_->device_service().health().Record(device, status.ok());
-    if (!status.ok()) {
-      io_errors_->Add(1);
-      if (st->first_error.ok()) st->first_error = status;
-    } else {
-      rows_sm_read_->Add(1);
-      ++st->trace.rows_from_sm;
-      st->slots[slot_index].source = RequestState::Slot::Source::kSm;
-      // Read-through insert (§4.3): with sub-block reads the row goes
-      // straight into cache storage.
-      DualRowCache* cache = store_->row_cache();
-      const TableRuntime& t = store_->table(st->request.table);
-      if (cache != nullptr && t.cache_enabled) {
-        cache->Insert(RowKey{st->request.table, physical}, dest);
-        st->cpu_post += cache->RouteCpuCost(st->request.table);
-      }
-    }
-    if (--st->outstanding_ios == 0) FinishRequest(st);
-  };
-
-  // Both branches below re-drive a terminally-failed row once against the
-  // extent's other copy (the per-row twin of MakeRunCompletion's
-  // read-repair) before the row is allowed to pool as zeros.
-  if (block_mode && off / kBlockSize == (off + st->stored_row_bytes - 1) / kBlockSize) {
-    // Multi-level path: fetch the whole 4KB block, fill the block cache,
-    // then extract the row.
-    const Bytes block_start = off / kBlockSize * kBlockSize;
-    const auto device = static_cast<uint32_t>(st->io_device);
-    const int max_retries = reader.max_retries();
-    store_->AcquireIoSlot(st->request.table, [this, st, off, dest, block_start, device,
-                                              shift, max_retries, on_row_done] {
-      BlockRowReadAttempt(
-          st, off, block_start, dest, device, shift, max_retries,
-          [this, st, off, dest, block_start, device, on_row_done](Status status) {
-            std::optional<SharedDeviceService::ReplicaRoute> route;
-            if (!status.ok()) route = RepairRoute(st->request.table, device);
-            if (!route.has_value()) {
-              on_row_done(std::move(status), device);
-              return;
-            }
-            const auto rdev = static_cast<uint32_t>(route->device);
-            BlockRowReadAttempt(st, off, block_start, dest, rdev, route->shift,
-                                store_->reader(rdev).max_retries(),
-                                [this, st, rdev, on_row_done](Status repaired) {
-                                  if (repaired.ok()) {
-                                    read_repairs_->Add(1);
-                                    ++st->trace.read_repairs;
-                                  }
-                                  on_row_done(std::move(repaired), rdev);
-                                });
-          });
-    });
-    return;
-  }
-
-  store_->AcquireIoSlot(st->request.table, [this, st, off, shift, dest, on_row_done] {
-    const size_t device = st->io_device;
-    const Bytes routed = static_cast<Bytes>(static_cast<int64_t>(off) + shift);
-    store_->reader(device).ReadRow(
-        routed, dest,
-        [this, st, off, dest, device, on_row_done](Status status, SimDuration /*lat*/) {
-          std::optional<SharedDeviceService::ReplicaRoute> route;
-          if (!status.ok()) route = RepairRoute(st->request.table, device);
-          if (!route.has_value()) {
-            on_row_done(std::move(status), device);
-            return;
-          }
-          const Bytes rerouted =
-              static_cast<Bytes>(static_cast<int64_t>(off) + route->shift);
-          store_->reader(route->device)
-              .ReadRow(rerouted, dest,
-                       [this, st, dev = route->device, on_row_done](Status repaired,
-                                                                    SimDuration) {
-                         if (repaired.ok()) {
-                           read_repairs_->Add(1);
-                           ++st->trace.read_repairs;
-                         }
-                         on_row_done(std::move(repaired), dev);
-                       });
-        });
-  });
-}
-
-void LookupEngine::BlockRowReadAttempt(const std::shared_ptr<RequestState>& st, Bytes off,
-                                       Bytes block_start, std::span<uint8_t> dest,
-                                       uint32_t device, int64_t shift, int attempts_left,
-                                       std::function<void(Status)> done) {
-  IoEngine& engine = store_->io_engine(device);
-  auto block_buf = store_->buffer_arena().Acquire(kBlockSize);
-  const std::span<uint8_t> block_span(block_buf->data(), block_buf->size());
-  // off/block_start are primary-space; the replica shift (a whole number of
-  // blocks) only moves the device offset — cache keys stay primary.
-  const Bytes routed_start = static_cast<Bytes>(static_cast<int64_t>(block_start) + shift);
-  engine.SubmitRead(
-      routed_start, kBlockSize, /*sub_block=*/false, block_span,
-      [this, st, off, dest, block_start, device, shift, attempts_left, block_buf,
-       done = std::move(done)](Status status, SimDuration /*lat*/) mutable {
-        // Retry transient media errors inside the held throttle slot, like
-        // DirectIoReader does for the sub-block path (same backoff schedule).
-        if (!status.ok() && IsTransientError(status.code()) && attempts_left > 0) {
-          io_retries_->Add(1);
-          const int attempt_index =
-              store_->reader(device).max_retries() - attempts_left;
-          const SimDuration backoff =
-              SimDuration(store_->tuning().retry_backoff_base.nanos()
-                          << std::min(attempt_index, 30));
-          if (backoff > SimDuration(0)) {
-            loop_->ScheduleAfter(backoff, [this, st, off, block_start, dest, device,
-                                           shift, attempts_left,
-                                           done = std::move(done)]() mutable {
-              BlockRowReadAttempt(st, off, block_start, dest, device, shift,
-                                  attempts_left - 1, std::move(done));
-            });
-            return;
-          }
-          BlockRowReadAttempt(st, off, block_start, dest, device, shift,
-                              attempts_left - 1, std::move(done));
-          return;
-        }
-        if (status.ok()) {
-          const auto primary =
-              static_cast<uint32_t>(store_->table(st->request.table).sm_device);
-          store_->block_cache()->InsertBlock(
-              BlockCache::BlockKey{primary, block_start / kBlockSize}, *block_buf);
-          std::memcpy(dest.data(), block_buf->data() + (off - block_start), dest.size());
-          st->cpu_post += CopyCost(kBlockSize);
-        }
-        done(std::move(status));
-      });
 }
 
 void LookupEngine::SubmitPlannedRuns(const std::shared_ptr<RequestState>& st,
@@ -580,11 +407,12 @@ void LookupEngine::SubmitPlannedRuns(const std::shared_ptr<RequestState>& st,
   const bool sgl = !block_cache_mode && reader.sub_block();
   const int max_retries = reader.max_retries();
 
-  // Bypass ablation = PR 1 semantics: runs admitted during this call share
-  // one request-private doorbell; throttled stragglers (admitted after
-  // `collecting` drops) ring their own bell the moment they enqueue, so a
-  // straggler never shares a flush with another request's batch.
-  const bool bypass = !store_->tuning().cross_request_batching;
+  // Bypass mode (no cross-request batching, or the per-row ablation): runs
+  // admitted during this call share one request-private doorbell; throttled
+  // stragglers (admitted after `collecting` drops) ring their own bell the
+  // moment they enqueue, so a straggler never shares a flush with another
+  // request's batch.
+  const bool bypass = !store_->scheduler(st->io_device).config().cross_request;
   auto collecting = std::make_shared<bool>(true);
 
   for (PlannedRun& planned : runs) {
@@ -714,8 +542,8 @@ BatchScheduler::Completion LookupEngine::MakeRunCompletion(
     if (run->holds_slot) store_->ReleaseIoSlot(st->request.table);
     store_->device_service().health().Record(run->device, status.ok());
     if (!status.ok()) {
-      // Transient (device-side) errors are retried like DirectIoReader's
-      // per-row reads; invalid requests surface immediately.
+      // Transient (device-side) errors are retried with exponential
+      // backoff; invalid requests surface immediately.
       if (IsTransientError(status.code()) && attempts_left > 0) {
         io_retries_->Add(1);
         const int attempt_index =

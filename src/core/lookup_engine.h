@@ -8,12 +8,15 @@
 //   when every row is in FM: fused dequantize+pool; insert rows and the
 //   pooled output into their caches
 //
-// The engine orchestrates; the IO policy lives in src/sched. Misses are
-// planned into coalesced runs by IoPlanner (pure, per request) and handed
-// to the device's BatchScheduler, which merges and single-flights reads
-// across every concurrent lookup before ringing the IoEngine doorbell.
-// This engine's completions then scatter rows out of the (possibly
-// shared) read buffers and fill the caches.
+// The engine orchestrates; the IO policy lives in src/sched. Every miss is
+// planned into a run by IoPlanner (pure, per request) and handed to the
+// device's BatchScheduler, which merges and single-flights reads across
+// every concurrent lookup before ringing the IoEngine doorbell. There is
+// one IO path: retry, backoff, deadline, hedging and read-repair all live
+// on it. The per-row ablation (tuning.coalesce_io = false) is a degenerate
+// plan — no dedup, one run per miss — through a bypass-mode scheduler.
+// This engine's completions then scatter rows out of the (possibly shared)
+// read buffers and fill the caches.
 //
 // Timing: CPU phases run in virtual time before (probe/hash/map) and after
 // (dequant/pool/insert) the IO phase; IOs from one request proceed
@@ -124,15 +127,6 @@ class LookupEngine {
   struct RunContext;
 
   void StartIoPhase(std::shared_ptr<RequestState> st);
-  /// Submits one missing row as its own throttled device IO (the per-row
-  /// ablation path, and the fallback for rows straddling a block boundary).
-  void SubmitRowIo(const std::shared_ptr<RequestState>& st, uint32_t slot_index);
-  /// One whole-block read attempt for the multi-level per-row path, with
-  /// transient-error retries inside the held throttle slot.
-  void BlockRowReadAttempt(const std::shared_ptr<RequestState>& st, Bytes off,
-                           Bytes block_start, std::span<uint8_t> dest, uint32_t device,
-                           int64_t shift, int attempts_left,
-                           std::function<void(Status)> done);
   /// Acquires a throttle slot per planned run and hands each run to the
   /// device's BatchScheduler (which owns batching and cross-request
   /// merging; the planning itself already happened in IoPlanner).
@@ -148,24 +142,22 @@ class LookupEngine {
                   const std::shared_ptr<RunContext>& run, bool block_cache_mode,
                   int attempts_left, bool first_attempt, bool acquired_slot);
   /// Completion for one planned run: scatter rows out of the (possibly
-  /// shared) read buffer, fill caches, and — like DirectIoReader — retry
-  /// transient device errors `attempts_left` more times before surfacing
-  /// the failure.
+  /// shared) read buffer, fill caches, and retry transient device errors
+  /// `attempts_left` more times before surfacing the failure.
   BatchScheduler::Completion MakeRunCompletion(const std::shared_ptr<RequestState>& st,
                                                const std::shared_ptr<RunContext>& run,
                                                bool block_cache_mode, int attempts_left);
   /// Where a terminally-failed read on `failed_device` can be re-driven: the
   /// extent's replica when the primary failed, the (healthy) primary when a
-  /// replica read failed, nullopt when no second copy exists. Shared by the
-  /// run path and the per-row path.
+  /// replica read failed, nullopt when no second copy exists.
   std::optional<SharedDeviceService::ReplicaRoute> RepairRoute(TableId table_id,
                                                                size_t failed_device);
   void FinishRequest(const std::shared_ptr<RequestState>& st);
   /// Windowed metrics + (sampled) lookup span at request completion; called
   /// from both completion tails once trace.latency is final.
   void RecordObsCompletion(const RequestState& st);
-  /// Modeled CPU time of copying `bytes` (shared with DirectIoReader's
-  /// memcpy_bytes_per_sec so the two paths charge the same throughput).
+  /// Modeled CPU time of copying `bytes` (at the device reader's configured
+  /// memcpy_bytes_per_sec).
   [[nodiscard]] SimDuration CopyCost(Bytes bytes) const;
 
   SdmStore* store_;

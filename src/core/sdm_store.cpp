@@ -147,11 +147,12 @@ Status SdmStore::FinishLoading() {
 
   // Speculative prefetch rides the cross-request scheduler's low-priority
   // lane and pays off by filling the row cache ahead of demand — so it is
-  // only built when all three exist. In particular it stays inert in the
-  // cross_request_batching=false ablation (bypass-mode parity: the PR 1
-  // baseline must not gain a speculation side channel).
-  if (tuning.enable_prefetch && tuning.cross_request_batching &&
-      device_service_->device_count() > 0 && row_cache_ != nullptr) {
+  // only built when all three exist. In particular it stays inert when the
+  // schedulers run in bypass mode (the cross_request_batching=false and
+  // coalesce_io=false ablations: a baseline must not gain a speculation
+  // side channel).
+  if (tuning.enable_prefetch && device_service_->device_count() > 0 &&
+      device_service_->scheduler(0).config().cross_request && row_cache_ != nullptr) {
     PrefetchConfig pfcfg;
     pfcfg.strategy = tuning.prefetch_strategy;
     pfcfg.depth = tuning.prefetch_depth;

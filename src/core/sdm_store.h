@@ -182,8 +182,8 @@ class SdmStore {
 
   /// Speculative readahead through the schedulers' low-priority lane.
   /// Null unless tuning.enable_prefetch — and inert by construction when
-  /// cross_request_batching is off (the PR 1 ablation baseline) or there is
-  /// no row cache to fill.
+  /// the schedulers run in bypass mode (cross_request_batching or
+  /// coalesce_io off) or there is no row cache to fill.
   [[nodiscard]] Prefetcher* prefetcher() { return prefetcher_.get(); }
   [[nodiscard]] PrefetchStats prefetch_stats() const {
     return prefetcher_ == nullptr ? PrefetchStats{} : prefetcher_->stats();

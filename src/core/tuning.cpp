@@ -98,8 +98,8 @@ Status TuningConfig::ValidateForSharedDevice() const {
   }
   if (!coalesce_io) {
     return InvalidArgumentError(
-        "shared device requires coalesce_io: the per-row ablation path "
-        "bypasses the scheduler that shared-device tenants must go through");
+        "shared device requires coalesce_io: the per-row ablation runs the "
+        "schedulers in bypass mode, so tenants could not share reads");
   }
   return Status::Ok();
 }

@@ -50,7 +50,10 @@ struct TuningConfig {
   /// Dedup duplicate indices within a request, group misses by 4KB block
   /// (N rows in one block cost one device read), merge adjacent blocks, and
   /// submit the request's device reads as one batched io_uring doorbell.
-  /// `false` restores the one-IO-per-row path (ablation baseline).
+  /// `false` is the one-IO-per-row ablation baseline: no dedup, one planned
+  /// run per miss, and the schedulers in bypass mode (no cross-request
+  /// merging or single-flight; one doorbell per lookup). It shares the one
+  /// IO path, so retries, deadlines, hedging and read-repair still apply.
   bool coalesce_io = true;
   /// Upper bound on the byte span of one merged multi-block read.
   Bytes max_coalesce_bytes = 64 * kKiB;
@@ -135,9 +138,9 @@ struct TuningConfig {
   /// stalled device or a dropped fabric transfer. Zero disables deadlines
   /// (byte-identical to pre-deadline behavior).
   SimDuration io_deadline{0};
-  /// Base of the exponential backoff between IO retry attempts (lookup runs,
-  /// per-row reads, DirectIoReader). Attempt k waits base * 2^k. Zero keeps
-  /// the legacy immediate re-read.
+  /// Base of the exponential backoff between IO retry attempts (lookup runs
+  /// and DirectIoReader). Attempt k waits base * 2^k. Zero keeps the legacy
+  /// immediate re-read.
   SimDuration retry_backoff_base{0};
   /// Hedged reads: when an in-flight demand read exceeds
   /// `hedge_latency_factor * p99` of the device's observed demand-read

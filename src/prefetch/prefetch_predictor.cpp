@@ -137,8 +137,8 @@ void NextBlockPredictor::RecordMiss(RowIndex row) {
 
 void NextBlockPredictor::AppendBlockRows(uint64_t block, double confidence,
                                          std::vector<PrefetchCandidate>* out) const {
-  // Rows fully contained in `block` (boundary-straddling rows are the
-  // planner's fallback path on the demand side too).
+  // Rows fully contained in `block`; a boundary-straddling row belongs to
+  // neither neighbour's readahead.
   const Bytes block_begin = block * kBlockSize;
   const Bytes block_end = block_begin + kBlockSize;
   if (block_end <= geometry_.table_offset) return;

@@ -117,8 +117,8 @@ void Prefetcher::IssueRuns(TableState& st, std::vector<IoPlanner::Miss> misses,
   pcfg.max_coalesce_bytes = config_.max_coalesce_bytes;
   pcfg.coalesce_gap_bytes = config_.coalesce_gap_bytes;
   IoPlan plan = IoPlanner::Plan(std::move(misses), pcfg);
-  // plan.fallback_slots (boundary-straddling rows) are dropped on purpose:
-  // speculation never takes the per-row path.
+  // The plan covers every candidate: rows straddling a block boundary ride
+  // as (or inside) multi-block runs, so speculation reads them too.
 
   BatchScheduler& scheduler = *schedulers_[st.info.device];
   for (PlannedRun& run : plan.runs) {

@@ -18,8 +18,8 @@
 //  - the prefetcher holds NO TableThrottle slots — the demand throttle
 //    budgets demand device reads; speculation is bounded by the scheduler's
 //    prefetch byte budget instead (two independent admission domains);
-//  - boundary-straddling rows (the planner's per-row fallback) are simply
-//    skipped: speculation never takes the un-coalesced path.
+//  - boundary-straddling rows plan like any other row (a multi-block run),
+//    so speculation reads them too.
 //
 // Accounting: `bytes_issued` is bus bytes of prefetch SQEs this component
 // owns; a row counts as hit when a demand lookup first claims it from a

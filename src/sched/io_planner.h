@@ -2,18 +2,20 @@
 //
 // Extracted from LookupEngine::StartIoPhase so the dedup/grouping policy is
 // unit-testable without an event loop and reusable by any component that
-// turns row misses into device reads (lookups today; prefetchers and model
-// updaters tomorrow). The planner answers one question: given a set of
-// missing rows on one device, which byte spans should be read?
+// turns row misses into device reads (lookups, the prefetcher). The planner
+// answers one question: given a set of missing rows on one device, which
+// byte spans should be read? Every miss lands in exactly one run:
 //
-//  - misses are sorted by device offset and grouped by 4KB block: N rows in
-//    one block cost one read;
-//  - adjacent blocks merge into multi-block runs up to `max_coalesce_bytes`;
+//  - misses are sorted by device offset; a row joins the previous run when
+//    it starts in that run's last 4KB block or the next one and the merged
+//    run's whole blocks stay within `max_coalesce_bytes` — so N rows in one
+//    block cost one read, adjacent blocks merge into multi-block runs, and
+//    a row straddling a block boundary is simply a two-block run;
 //  - in sub-block (SGL) mode a merge may only bridge a dead gap of
 //    `coalesce_gap_bytes` between consecutive rows, so scattered rows don't
 //    inflate bus traffic (block-layer request-merging semantics);
-//  - rows straddling a block boundary are returned as fallbacks for the
-//    caller's per-row path.
+//  - `max_coalesce_bytes = 0` merges nothing: one run per miss, the
+//    per-row ablation baseline.
 //
 // Planning is per-request; cross-request combining of the planned runs is
 // the BatchScheduler's job.
@@ -42,11 +44,6 @@ struct PlannedRun {
 
 struct IoPlan {
   std::vector<PlannedRun> runs;
-  /// Rows that straddle a 4KB block boundary; the caller must issue these
-  /// through its un-coalesced per-row path.
-  std::vector<uint32_t> fallback_slots;
-
-  [[nodiscard]] size_t TotalIos() const { return runs.size() + fallback_slots.size(); }
 };
 
 struct PlannerConfig {
@@ -54,6 +51,7 @@ struct PlannerConfig {
   /// SGL bit-bucket mode: spans are DWORD- instead of block-rounded on the
   /// bus, and merges are gap-bounded.
   bool sub_block = false;
+  /// Cap on a run's whole-block footprint; 0 plans one run per miss.
   Bytes max_coalesce_bytes = 64 * kKiB;
   Bytes coalesce_gap_bytes = 512;
 };

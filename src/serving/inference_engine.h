@@ -98,10 +98,6 @@ class InferenceEngine {
   [[nodiscard]] const InferenceConfig& config() const { return config_; }
   [[nodiscard]] const ModelConfig& model() const { return model_; }
 
-  /// Mean host-CPU virtual time per completed query (operator + IO engine
-  /// CPU), the input to QPS-per-host capacity math (Eq. 5).
-  [[nodiscard]] SimDuration AvgCpuPerQuery() const;
-
  private:
   struct QueryState;
 

@@ -72,7 +72,10 @@ SharedDeviceService::SharedDeviceService(SharedDeviceConfig config, EventLoop* l
     readers_.push_back(
         std::make_unique<DirectIoReader>(engines_.back().get(), rcfg, &buffer_arena_));
     BatchSchedulerConfig bcfg;
-    bcfg.cross_request = config_.tuning.cross_request_batching;
+    // The per-row ablation (coalesce_io = false) rides the same scheduler in
+    // bypass mode: no merging, no single-flight, one doorbell per lookup.
+    bcfg.cross_request =
+        config_.tuning.cross_request_batching && config_.tuning.coalesce_io;
     bcfg.max_batch_sqes = config_.tuning.max_batch_sqes;
     bcfg.max_batch_delay = config_.tuning.max_batch_delay;
     bcfg.max_coalesce_bytes = config_.tuning.max_coalesce_bytes;

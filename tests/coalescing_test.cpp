@@ -9,6 +9,7 @@
 #include "core/model_loader.h"
 #include "core/sdm_store.h"
 #include "dlrm/model_zoo.h"
+#include "fault/fault_injector.h"
 #include "io/buffer_arena.h"
 
 namespace sdm {
@@ -166,14 +167,13 @@ TEST(Coalescing, AdjacentBlockRunsMergeWithinCap) {
   auto ls = MakeStore();
   LookupEngine engine(ls->store.get());
   // A contiguous run around the first block boundary: the spanning row
-  // falls back to its own IO; the rest merge across the two blocks.
+  // bridges the two blocks, so every row joins one two-block run.
   const RowIndex spanning = FirstBoundarySpanningRow(*ls);
   std::vector<RowIndex> indices;
   for (RowIndex r = spanning - 5; r <= spanning + 5; ++r) indices.push_back(r);
   const auto [pooled, trace] = RunLookup(*ls, engine, indices);
   EXPECT_EQ(trace.rows_from_sm, indices.size());
-  // One merged two-block run + one un-coalesced read for the spanning row.
-  EXPECT_EQ(trace.device_reads, 2u);
+  EXPECT_EQ(trace.device_reads, 1u);
   const auto ref = ReferencePooled(*ls, indices);
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
 }
@@ -187,11 +187,12 @@ TEST(Coalescing, MaxCoalesceBytesSplitsAdjacentBlocks) {
   std::vector<RowIndex> indices;
   for (RowIndex r = spanning - 5; r <= spanning + 5; ++r) indices.push_back(r);
   const auto [pooled, trace] = RunLookup(*ls, engine, indices);
-  // Block-0 run, block-1 run, and the spanning row's fallback read.
+  // Block-0 run, the spanning row's own two-block run (joining either
+  // neighbour would exceed the one-block cap), and the block-1 run.
   EXPECT_EQ(trace.device_reads, 3u);
 }
 
-TEST(Coalescing, BoundarySpanningRowAloneStaysUncoalesced) {
+TEST(Coalescing, BoundarySpanningRowAloneIsOneRead) {
   auto ls = MakeStore();
   LookupEngine engine(ls->store.get());
   const RowIndex spanning = FirstBoundarySpanningRow(*ls);
@@ -200,6 +201,27 @@ TEST(Coalescing, BoundarySpanningRowAloneStaysUncoalesced) {
   EXPECT_EQ(trace.device_reads, 1u);
   const auto ref = ReferencePooled(*ls, {spanning});
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(pooled[i], ref[i], 1e-4f);
+}
+
+TEST(Coalescing, BoundarySpanningRowHonoursIoDeadline) {
+  // A straddling row rides the scheduler like any other run, so a stalled
+  // device cannot hold it past io_deadline: the read expires, its retry
+  // expires too, and the lookup completes degraded long before the stall
+  // lifts.
+  TuningConfig t = BaseTuning();
+  t.io_deadline = Micros(200);
+  auto ls = MakeStore(t);
+  const SimTime stall_end = SimTime() + Millis(20);
+  FaultPlan plan;
+  plan.Stall(SimTime(), stall_end, /*device=*/0);
+  FaultInjector inj(plan, &ls->loop, /*seed=*/1);
+  ls->store->device_service().InstallFaultInjector(&inj);
+  LookupEngine engine(ls->store.get());
+  const RowIndex spanning = FirstBoundarySpanningRow(*ls);
+  const auto [pooled, trace] = RunLookup(*ls, engine, {spanning});
+  EXPECT_LT(trace.latency, stall_end - SimTime());
+  EXPECT_TRUE(trace.degraded);
+  EXPECT_GE(ls->store->scheduler(0).stats().CounterValue("deadline_expired"), 1u);
 }
 
 TEST(Coalescing, PerRowAblationFlagIssuesOneIoPerRow) {

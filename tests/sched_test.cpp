@@ -33,8 +33,6 @@ PlannerConfig BlockPlanner(Bytes row_bytes = 24) {
 TEST(IoPlanner, EmptyInputPlansNothing) {
   const IoPlan plan = IoPlanner::Plan({}, BlockPlanner());
   EXPECT_TRUE(plan.runs.empty());
-  EXPECT_TRUE(plan.fallback_slots.empty());
-  EXPECT_EQ(plan.TotalIos(), 0u);
 }
 
 TEST(IoPlanner, SameBlockMissesFormOneRun) {
@@ -94,12 +92,46 @@ TEST(IoPlanner, SubBlockGapBoundSplitsScatteredRows) {
   EXPECT_EQ(merged.runs[0].span_end, 1048u);
 }
 
-TEST(IoPlanner, BoundarySpanningRowsFallBack) {
-  // A 24B row at 4088 straddles blocks 0 and 1.
-  const IoPlan plan = IoPlanner::Plan({{0, 100}, {1, 4088}}, BlockPlanner());
-  ASSERT_EQ(plan.runs.size(), 1u);
-  EXPECT_EQ(plan.fallback_slots, (std::vector<uint32_t>{1}));
-  EXPECT_EQ(plan.TotalIos(), 2u);
+TEST(IoPlanner, StraddlingRowsAndTheCapFollowOneMergeRule) {
+  // 24B rows; the row at 4088 straddles blocks 0 and 1.
+  struct ExpectedRun {
+    uint64_t first_block;
+    uint64_t last_block;
+    std::vector<uint32_t> slots;
+  };
+  struct Case {
+    const char* name;
+    std::vector<IoPlanner::Miss> misses;
+    Bytes max_coalesce_bytes;
+    std::vector<ExpectedRun> runs;
+  };
+  const std::vector<Case> cases = {
+      {"lone straddler is a two-block run", {{0, 4088}}, 64 * kKiB, {{0, 1, {0}}}},
+      {"straddler merges with its same-block neighbours",
+       {{0, 100}, {1, 4088}, {2, 4200}},
+       64 * kKiB,
+       {{0, 1, {0, 1, 2}}}},
+      {"block-count cap keeps the straddler out of a one-block run",
+       {{0, 100}, {1, 4088}},
+       kBlockSize,
+       {{0, 0, {0}}, {0, 1, {1}}}},
+      {"zero cap plans one run per miss inside one block",
+       {{0, 24}, {1, 240}, {2, 2400}},
+       0,
+       {{0, 0, {0}}, {0, 0, {1}}, {0, 0, {2}}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    PlannerConfig cfg = BlockPlanner();
+    cfg.max_coalesce_bytes = c.max_coalesce_bytes;
+    const IoPlan plan = IoPlanner::Plan(c.misses, cfg);
+    ASSERT_EQ(plan.runs.size(), c.runs.size());
+    for (size_t i = 0; i < c.runs.size(); ++i) {
+      EXPECT_EQ(plan.runs[i].first_block, c.runs[i].first_block) << "run " << i;
+      EXPECT_EQ(plan.runs[i].last_block, c.runs[i].last_block) << "run " << i;
+      EXPECT_EQ(plan.runs[i].slot_indices, c.runs[i].slots) << "run " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

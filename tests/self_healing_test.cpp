@@ -54,7 +54,6 @@ void ExpectReportsIdentical(const HostRunReport& a, const HostRunReport& b) {
   EXPECT_EQ(a.mean.nanos(), b.mean.nanos());
   EXPECT_EQ(a.io_errors, b.io_errors);
   EXPECT_EQ(a.io_retries, b.io_retries);
-  EXPECT_EQ(a.reader_retries, b.reader_retries);
   EXPECT_EQ(a.rows_failed, b.rows_failed);
   EXPECT_EQ(a.Summary(), b.Summary());
 }
@@ -302,6 +301,45 @@ TEST(SelfHealing, ReplicationChunkBytesKnobIsInertOnCopiedBytes) {
   EXPECT_GT(a.bytes_copied, 0u);
   EXPECT_EQ(a.bytes_copied, b.bytes_copied);
   EXPECT_EQ(a.extents_replicated, b.extents_replicated);
+}
+
+TEST(SelfHealing, PerRowLookupsFailOverToReplicas) {
+  // The per-row ablation shares the one IO path, replica routing included:
+  // with every device-0 extent already replicated, lookups on the sick
+  // primary read the replica instead of shedding.
+  HostSimConfig cfg = HealHostConfig();
+  cfg.tuning.coalesce_io = false;
+  cfg.tuning.enable_health_monitor = true;
+  cfg.tuning.health_window = 32;
+  cfg.tuning.health_probe_interval = 16;
+  cfg.tuning.enable_replication = true;
+  HostSimulation sim(cfg);
+  ASSERT_TRUE(sim.LoadModel(HealModel()).ok());
+
+  SharedDeviceService& svc = sim.store().device_service();
+  size_t staged = 0;
+  for (size_t i = 0; i < 3; ++i) {  // 2 user tables + 1 item table
+    const TableRuntime& rt = sim.store().table(MakeTableId(i));
+    if (rt.tier != MemoryTier::kSm || rt.sm_device != 0) continue;
+    const auto span = svc.ExtentInfoFor(rt.extent_id);
+    ASSERT_TRUE(span.has_value());
+    const auto loc = svc.AllocateReplica(rt.extent_id, /*target=*/1);
+    ASSERT_TRUE(loc.ok()) << loc.status().ToString();
+    ASSERT_TRUE(svc.device(1)
+                    .Write(loc.value().offset,
+                           svc.device(0).backing().subspan(span->offset, span->size))
+                    .ok());
+    svc.AddReplicaRoute(rt.extent_id, loc.value());
+    ++staged;
+  }
+  ASSERT_GT(staged, 0u);
+  for (int i = 0; i < 32; ++i) svc.health().Record(0, false);
+  ASSERT_TRUE(svc.health().Sick(0));
+
+  const HostRunReport r = sim.Run(200, 400);
+  EXPECT_GT(r.replica_reads, 0u);
+  EXPECT_EQ(r.lookups_shed, 0u);
+  EXPECT_EQ(r.queries_completed, r.queries_served);
 }
 
 // ---------------------------------------------------------------------------
