@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
     const SweepPoint iso = RunTenants(false, tenants, 0, kQps, kQueries);
     const SweepPoint sh = RunTenants(true, tenants, 0, kQps, kQueries);
     uint64_t xt = 0;
-    for (const auto& tr : sh.report.tenants) xt += tr.cross_tenant_hits;
+    for (const auto& tr : sh.report.tenants) xt += tr.share.cross_tenant_hits;
     // Isolated mode still single-flights WITHIN each tenant (per-host
     // scheduler); only cross-tenant sharing is impossible there.
     uint64_t iso_sf = 0;

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       "%llu promoted on foreground overlap), keeping the recommender's p99 at\n"
       "%.2f ms while both tenants run from one device stack.\n",
       AsMiB(r.sm_logical_bytes - r.sm_unique_bytes),
-      static_cast<unsigned long long>(r.tenants[1].cross_tenant_hits),
+      static_cast<unsigned long long>(r.tenants[1].share.cross_tenant_hits),
       static_cast<unsigned long long>(r.io.background_parked),
       static_cast<unsigned long long>(r.io.background_promoted),
       r.tenants[0].run.p99.millis());

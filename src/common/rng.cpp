@@ -7,11 +7,9 @@ namespace sdm {
 namespace {
 
 uint64_t SplitMix64(uint64_t& state) {
+  const uint64_t z = Mix64(state);
   state += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return z;
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

@@ -13,6 +13,15 @@
 
 namespace sdm {
 
+/// splitmix64 of `z`: a stateless 64-bit mixer. Derives independent child
+/// seeds from (seed, index) pairs and hashes ids (user routing, Feistel keys).
+[[nodiscard]] constexpr uint64_t Mix64(uint64_t z) {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256** PRNG seeded via splitmix64. Not cryptographic; fast and
 /// statistically solid for simulation workloads.
 class Rng {

@@ -33,16 +33,7 @@ void FabricAttachedService::InstallFaultInjector(FaultInjector* injector) {
 
 FabricLinkStats FabricAttachedService::fabric_stats() const {
   FabricLinkStats agg;
-  for (const auto& link : links_) {
-    const FabricLinkStats& one = link->stats();
-    agg.requests += one.requests;
-    agg.responses += one.responses;
-    agg.request_bytes += one.request_bytes;
-    agg.response_bytes += one.response_bytes;
-    agg.queue_time += one.queue_time;
-    agg.dropped += one.dropped;
-    agg.partition_deferred += one.partition_deferred;
-  }
+  for (const auto& link : links_) agg += link->stats();
   return agg;
 }
 

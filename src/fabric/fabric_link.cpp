@@ -7,6 +7,29 @@
 
 namespace sdm {
 
+FabricLinkStats FabricLinkStats::Since(const FabricLinkStats& base) const {
+  FabricLinkStats d;
+  d.requests = requests - base.requests;
+  d.responses = responses - base.responses;
+  d.request_bytes = request_bytes - base.request_bytes;
+  d.response_bytes = response_bytes - base.response_bytes;
+  d.queue_time = queue_time - base.queue_time;
+  d.dropped = dropped - base.dropped;
+  d.partition_deferred = partition_deferred - base.partition_deferred;
+  return d;
+}
+
+FabricLinkStats& FabricLinkStats::operator+=(const FabricLinkStats& o) {
+  requests += o.requests;
+  responses += o.responses;
+  request_bytes += o.request_bytes;
+  response_bytes += o.response_bytes;
+  queue_time += o.queue_time;
+  dropped += o.dropped;
+  partition_deferred += o.partition_deferred;
+  return *this;
+}
+
 FabricLink::FabricLink(FabricLinkConfig config, EventLoop* loop)
     : config_(config), loop_(loop) {
   assert(loop != nullptr);

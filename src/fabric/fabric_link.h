@@ -53,6 +53,11 @@ struct FabricLinkStats {
   uint64_t dropped = 0;
   /// Transfers that waited out an injected partition window.
   uint64_t partition_deferred = 0;
+
+  /// This-minus-base per-run delta (stats are cumulative across runs).
+  [[nodiscard]] FabricLinkStats Since(const FabricLinkStats& base) const;
+  /// Field-by-field sum: folds per-link stats into one.
+  FabricLinkStats& operator+=(const FabricLinkStats& other);
 };
 
 class FaultInjector;

@@ -98,6 +98,37 @@ TenantIoShare TenantIoShare::Since(const TenantIoShare& base) const {
   return d;
 }
 
+CrossRequestIoStats& CrossRequestIoStats::operator+=(const CrossRequestIoStats& o) {
+  device_reads += o.device_reads;
+  cross_request_merges += o.cross_request_merges;
+  singleflight_hits += o.singleflight_hits;
+  singleflight_bytes_saved += o.singleflight_bytes_saved;
+  flushes += o.flushes;
+  prefetch_reads += o.prefetch_reads;
+  prefetch_dropped += o.prefetch_dropped;
+  prefetch_promoted += o.prefetch_promoted;
+  background_reads += o.background_reads;
+  background_parked += o.background_parked;
+  background_promoted += o.background_promoted;
+  deadline_expired += o.deadline_expired;
+  hedges_issued += o.hedges_issued;
+  hedges_won += o.hedges_won;
+  replica_hedges += o.replica_hedges;
+  return *this;
+}
+
+TenantIoShare& TenantIoShare::operator+=(const TenantIoShare& o) {
+  demand_reads += o.demand_reads;
+  demand_bytes += o.demand_bytes;
+  background_reads += o.background_reads;
+  background_bytes += o.background_bytes;
+  prefetch_bytes += o.prefetch_bytes;
+  singleflight_hits += o.singleflight_hits;
+  cross_tenant_hits += o.cross_tenant_hits;
+  cross_tenant_bytes_saved += o.cross_tenant_bytes_saved;
+  return *this;
+}
+
 CrossRequestIoStats BatchScheduler::Snapshot() const {
   CrossRequestIoStats s;
   s.device_reads = device_reads_->value();

@@ -115,6 +115,8 @@ struct CrossRequestIoStats {
   /// This-minus-base, field by field. Counters are cumulative across runs;
   /// every run report subtracts its start-of-run snapshot through here.
   [[nodiscard]] CrossRequestIoStats Since(const CrossRequestIoStats& base) const;
+  /// Field-by-field sum: folds per-device (or per-slice) snapshots into one.
+  CrossRequestIoStats& operator+=(const CrossRequestIoStats& other);
 };
 
 /// One tenant's slice of a scheduler's device traffic — the fair-share
@@ -132,6 +134,8 @@ struct TenantIoShare {
 
   /// This-minus-base per-run delta (see CrossRequestIoStats::Since).
   [[nodiscard]] TenantIoShare Since(const TenantIoShare& base) const;
+  /// Field-by-field sum (one tenant's ledger across devices).
+  TenantIoShare& operator+=(const TenantIoShare& other);
 };
 
 struct BatchSchedulerConfig {

@@ -17,19 +17,12 @@ std::vector<ArrivalStats> RunInterleavedArrivals(
     for (uint64_t q = 0; q < queries_each; ++q) {
       next_arrival += Seconds(arrivals.NextExponential(1.0 / qps_each));
       loop.ScheduleAt(next_arrival, [&participants, &stats, &route, i] {
-        const Query query = participants[i].workload->Next();
-        const size_t target = route(i, query);
+        const Query query = participants[i].next_query();
+        const size_t target = route ? route(i, query) : i;
         ArrivalStats& st = stats[target];
         ++st.served;
         participants[target].engine->Submit(
-            query, [&st](Status status, const QueryTrace& trace) {
-              if (status.ok()) {
-                st.latencies.Record(trace.total);
-                ++st.completed;
-                if (trace.degraded) ++st.degraded;
-                st.rows_failed += trace.rows_failed;
-              }
-            });
+            query, [&st](Status status, const QueryTrace& trace) { st.Record(status, trace); });
       });
     }
   }

@@ -1,23 +1,30 @@
-// RunInterleavedArrivals — the shared interleaved open-loop arrival driver
-// behind every "many engines, one EventLoop" experiment.
+// RunInterleavedArrivals — the one open-loop arrival driver behind every
+// serving experiment that runs on a single EventLoop.
 //
-// MultiTenantHost::RunShared introduced the loop (every tenant's Poisson
-// arrivals interleave in virtual time so concurrent tenants' reads meet in
-// the shared BatchSchedulers); ClusterSimulation::RunDisaggregated is its
-// generalization — N HOSTS on one loop, with a router deciding which
-// host's engine each arrival enters. The only degree of freedom between
-// the two is that routing hook, so the loop lives here once:
+// Its users differ only in how many participants they pass and in the
+// routing hook:
+//   - HostSimulation::Run / RunUsers: one participant (a host serving its
+//     own Poisson stream);
+//   - MultiTenantHost::RunShared: one participant per tenant, identity
+//     route, so concurrent tenants' reads meet in the shared
+//     BatchSchedulers;
+//   - ClusterSimulation::RunDisaggregated: N HOSTS on one loop, with a
+//     router deciding which host's engine each arrival enters.
 //
+// The loop:
 //   - each participant runs an independent Poisson process (qps_each,
 //     queries_each) seeded by its own arrival_seed, all interleaved on one
 //     EventLoop;
-//   - an arrival draws the next query from its SOURCE participant's
-//     workload, then `route(source, query)` picks the participant whose
-//     engine serves it (identity for the multi-tenant host; user-sticky /
-//     random / local for the cluster);
+//   - an arrival draws the next query from its SOURCE participant's query
+//     source, then `route(source, query)` picks the participant whose
+//     engine serves it (identity when no route is given);
 //   - stats are attributed to the SERVING participant: `served` counts
 //     arrivals entering its engine, `completed` and `latencies` its OK
 //     completions.
+//
+// The sharded cluster runtime replays the same draws in a precomputed
+// arrival plan (it cannot share one loop) and records completions through
+// the same ArrivalStats::Record.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +39,13 @@
 
 namespace sdm {
 
+/// Draws a participant's next query (a QueryGenerator's Next, or a replay
+/// of an explicit user sequence).
+using QuerySource = std::function<Query()>;
+
 struct ArrivalParticipant {
   InferenceEngine* engine = nullptr;
-  QueryGenerator* workload = nullptr;
+  QuerySource next_query;
   /// Seeds this participant's independent Poisson arrival process.
   uint64_t arrival_seed = 0;
 };
@@ -46,16 +57,24 @@ struct ArrivalStats {
   /// Of `completed`, queries whose pooled output is missing rows (some
   /// embedding IO exhausted retries or was shed; graceful degradation).
   uint64_t degraded = 0;
-  uint64_t rows_failed = 0;  ///< zero-filled rows across degraded queries
+
+  /// Folds one query completion in (errored queries count nowhere).
+  void Record(const Status& status, const QueryTrace& trace) {
+    if (!status.ok()) return;
+    latencies.Record(trace.total);
+    ++completed;
+    if (trace.degraded) ++degraded;
+  }
 };
 
 /// Maps (source participant, drawn query) to the serving participant.
 using ArrivalRoute = std::function<size_t(size_t source, const Query& query)>;
 
 /// Schedules every participant's arrivals, runs the loop to idle, and
-/// returns per-participant stats (indexed like `participants`).
+/// returns per-participant stats (indexed like `participants`). An empty
+/// `route` serves every arrival at its source.
 std::vector<ArrivalStats> RunInterleavedArrivals(
     EventLoop& loop, std::span<const ArrivalParticipant> participants,
-    double qps_each, uint64_t queries_each, const ArrivalRoute& route);
+    double qps_each, uint64_t queries_each, const ArrivalRoute& route = {});
 
 }  // namespace sdm

@@ -1,32 +1,26 @@
 #include "serving/cluster.h"
 
 #include <cassert>
-#include <cstdio>
 
 #include "common/kv_format.h"
-#include "fault/replication_manager.h"
 #include "serving/arrival_loop.h"
 #include "serving/sharded_cluster.h"
 
 namespace sdm {
 
-namespace {
-
-uint64_t Mix64(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+ShardSpec DisaggregatedHostSpec(const HostSimConfig& base, size_t index,
+                                Observability* obs) {
+  ShardSpec spec;
+  spec.fm_capacity = base.fm_capacity;
+  spec.store_seed = ShardSeed(base.seed, index);
+  spec.workload_seed = ShardSeed(base.workload.seed, index);
+  spec.tenant_class = TenantClass::kForeground;
+  if (obs != nullptr) {
+    spec.obs = obs;
+    spec.obs_prefix = "host" + std::to_string(index) + "/";
+  }
+  return spec;
 }
-
-/// Per-host workload seed; derived exactly like MultiTenantHost's
-/// per-tenant seed so a disaggregated cluster with kLocal routing and an
-/// instant fabric serves byte-identical query streams to RunShared.
-uint64_t HostWorkloadSeed(const WorkloadConfig& base, size_t host_index) {
-  return base.seed ^ Mix64(0x7e0a + host_index);
-}
-
-}  // namespace
 
 StickyRouter::StickyRouter(size_t num_hosts, RoutingPolicy policy, uint64_t seed)
     : num_hosts_(num_hosts), policy_(policy), rng_(seed) {
@@ -61,7 +55,7 @@ ClusterSimulation::ClusterSimulation(size_t num_hosts, const HostSimConfig& host
     hosts_.reserve(num_hosts);
     for (size_t i = 0; i < num_hosts; ++i) {
       HostSimConfig cfg = host_config;
-      cfg.seed = host_config.seed ^ Mix64(i + 1);
+      cfg.seed = FleetHostSeed(host_config.seed, i);
       hosts_.push_back(std::make_unique<HostSimulation>(cfg));
     }
     return;
@@ -88,9 +82,9 @@ ClusterSimulation::ClusterSimulation(size_t num_hosts, const HostSimConfig& host
   fabric_ = std::make_unique<FabricAttachedService>(std::move(fcfg), &dloop_);
   dhosts_.resize(num_hosts);
   for (size_t i = 0; i < num_hosts; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "host-%zu", i);
-    dhosts_[i].id = fabric_->AttachHost(name, TenantClass::kForeground);
+    const TenantId id = fabric_->AttachHost("host-" + std::to_string(i));
+    assert(id == i);
+    (void)id;
   }
 }
 
@@ -129,35 +123,12 @@ Status ClusterSimulation::LoadModel(const ModelConfig& model) {
     return FailedPreconditionError("model already loaded");
   }
   for (size_t i = 0; i < dhosts_.size(); ++i) {
-    DisaggregatedHost& h = dhosts_[i];
-
-    SdmStoreConfig scfg;
-    scfg.fm_capacity = base_config_.fm_capacity;
-    scfg.tuning = base_config_.tuning;
-    scfg.seed = base_config_.seed ^ Mix64(i + 0x7e0a);
-    scfg.shared_device = &fabric_->device_service();
-    scfg.tenant_id = h.id;
-    scfg.tenant_class = TenantClass::kForeground;
-    if (obs_ != nullptr) {
-      scfg.obs = obs_.get();
-      scfg.obs_prefix = "host" + std::to_string(i) + "/";
-    }
-    h.store = std::make_unique<SdmStore>(scfg, &dloop_);
-
-    auto report = ModelLoader::Load(model, base_config_.loader, h.store.get());
-    if (!report.ok()) return report.status();
-
-    InferenceConfig icfg = base_config_.inference;
-    icfg.accelerator = base_config_.host.accelerator;
-    icfg.dense.flops_per_sec = base_config_.host.dense_flops;
-    if (icfg.max_concurrent_queries <= 0) {
-      icfg.max_concurrent_queries = base_config_.host.cores();
-    }
-    h.engine = std::make_unique<InferenceEngine>(h.store.get(), model, icfg);
-
-    WorkloadConfig wcfg = base_config_.workload;
-    wcfg.seed = HostWorkloadSeed(base_config_.workload, i);
-    h.workload = std::make_unique<QueryGenerator>(model, wcfg);
+    ShardSpec spec = DisaggregatedHostSpec(base_config_, i, obs_.get());
+    spec.shared_device = &fabric_->device_service();
+    spec.tenant_id = static_cast<TenantId>(i);
+    auto shard = BuildServingShard(base_config_, model, spec, &dloop_);
+    if (!shard.ok()) return shard.status();
+    dhosts_[i] = std::move(shard).value();
   }
   return Status::Ok();
 }
@@ -211,126 +182,72 @@ DisaggregatedRunReport ClusterSimulation::RunDisaggregated(double total_qps,
   assert(disaggregated());
   assert(total_qps > 0);
   if (sharded_ != nullptr) return sharded_->Run(total_qps, num_queries);
-  DisaggregatedRunReport report;
-  if (dhosts_.empty() || dhosts_[0].store == nullptr) return report;
+  if (dhosts_.empty() || dhosts_[0].store == nullptr) return {};
   const size_t n = dhosts_.size();
   const double qps_each = total_qps / static_cast<double>(n);
   const uint64_t queries_each = num_queries / n;
   SharedDeviceService& service = fabric_->device_service();
 
-  // ---- Per-run snapshots (counters are cumulative across runs) ----
-  struct Snapshot {
-    uint64_t cache_hits0 = 0;
-    uint64_t cache_miss0 = 0;
-    TenantIoShare share0;
-    SimDuration queue_time0;
-    uint64_t replica0 = 0;
-    uint64_t repairs0 = 0;
-  };
-  std::vector<Snapshot> snaps(n);
+  std::vector<RunMeter> meters;
+  std::vector<ArrivalParticipant> participants;
+  meters.reserve(n);
+  participants.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (DualRowCache* rc = dhosts_[i].store->row_cache(); rc != nullptr) {
-      snaps[i].cache_hits0 = rc->stats().hits;
-      snaps[i].cache_miss0 = rc->stats().misses;
-    }
-    snaps[i].share0 = fabric_->host_io_share(dhosts_[i].id);
-    snaps[i].queue_time0 = fabric_->host_throttle_queue_time(dhosts_[i].id);
-    snaps[i].replica0 = dhosts_[i].engine->lookups().stats().CounterValue("replica_reads");
-    snaps[i].repairs0 = dhosts_[i].engine->lookups().stats().CounterValue("read_repairs");
+    meters.emplace_back(dhosts_[i]);
+    participants.push_back(
+        dhosts_[i].Participant(ArrivalSeed(FleetHostSeed(base_config_.seed, i))));
   }
-  uint64_t sm_reads0 = 0;
-  uint64_t corrupt0 = 0;
-  for (size_t d = 0; d < service.device_count(); ++d) {
-    sm_reads0 += service.device(d).stats().CounterValue("reads");
-    corrupt0 += service.device(d).stats().CounterValue("blocks_corrupt");
-  }
-  const ReplicationManager* repl = service.replication();
-  const uint64_t replicated0 = repl != nullptr ? repl->extents_replicated() : 0;
-  const CrossRequestIoStats io0 = service.cross_request_io_stats();
+  const StackCounters stack0 = StackCounters::Of(service);
   const FabricLinkStats fab0 = fabric_->fabric_stats();
 
   // ---- Interleave every host's arrivals; the router redistributes ----
-  std::vector<ArrivalParticipant> participants;
-  participants.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    participants.push_back(ArrivalParticipant{dhosts_[i].engine.get(),
-                                              dhosts_[i].workload.get(),
-                                              base_config_.seed ^ Mix64(i + 1) ^ 0xa11e});
-  }
   const SimTime t_begin = dloop_.Now();
-  std::vector<ArrivalStats> states = RunInterleavedArrivals(
+  const std::vector<ArrivalStats> states = RunInterleavedArrivals(
       dloop_, participants, qps_each, queries_each,
       [this](size_t source, const Query& q) { return RouteTarget(source, q.user); });
-  const SimTime t_end = dloop_.Now();
-  const double span_s = (t_end - t_begin).seconds();
+  const SimDuration span = dloop_.Now() - t_begin;
 
-  // ---- Reports ----
+  std::vector<DisaggregatedHostReport> hosts(n);
+  Bytes sm_logical = 0;
+  for (size_t i = 0; i < n; ++i) {
+    hosts[i].run = meters[i].Report(states[i], qps_each, span);
+    hosts[i].share = meters[i].share();
+    hosts[i].throttle_queue_time = meters[i].throttle_queue_time();
+    sm_logical += dhosts_[i].store->sm_used_bytes();
+  }
+  return FoldDisaggregatedRun(std::move(hosts), sm_logical, service.sm_used_bytes(),
+                              StackCounters::Of(service).Since(stack0),
+                              fabric_->fabric_stats().Since(fab0));
+}
+
+DisaggregatedRunReport FoldDisaggregatedRun(std::vector<DisaggregatedHostReport> hosts,
+                                            Bytes sm_logical_bytes, Bytes sm_unique_bytes,
+                                            const StackCounters& stack,
+                                            const FabricLinkStats& fabric) {
+  DisaggregatedRunReport report;
   double hit_weighted = 0;
   uint64_t served_total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const ArrivalStats& st = states[i];
-    DisaggregatedHostReport hr;
-    hr.run.queries_completed = st.completed;
-    hr.run.queries_served = st.served;
-    hr.run.offered_qps = qps_each;
-    hr.run.achieved_qps =
-        span_s > 0 ? static_cast<double>(st.completed) / span_s : 0;
-    hr.run.p50 = SimDuration(st.latencies.P50());
-    hr.run.p95 = SimDuration(st.latencies.P95());
-    hr.run.p99 = SimDuration(st.latencies.P99());
-    hr.run.mean = SimDuration(static_cast<int64_t>(st.latencies.mean()));
-    if (DualRowCache* rc = dhosts_[i].store->row_cache(); rc != nullptr) {
-      const uint64_t h = rc->stats().hits - snaps[i].cache_hits0;
-      const uint64_t m = rc->stats().misses - snaps[i].cache_miss0;
-      hr.run.row_cache_hit_rate =
-          (h + m) == 0 ? 0 : static_cast<double>(h) / static_cast<double>(h + m);
-    }
-    hr.run.queries_degraded = st.degraded;
-    hr.run.rows_failed = st.rows_failed;
-    report.queries_degraded += st.degraded;
-    report.rows_failed += st.rows_failed;
-    hr.run.replica_reads =
-        dhosts_[i].engine->lookups().stats().CounterValue("replica_reads") -
-        snaps[i].replica0;
-    hr.run.read_repairs =
-        dhosts_[i].engine->lookups().stats().CounterValue("read_repairs") -
-        snaps[i].repairs0;
+  for (const DisaggregatedHostReport& hr : hosts) {
+    report.queries_degraded += hr.run.queries_degraded;
+    report.rows_failed += hr.run.rows_failed;
     report.replica_reads += hr.run.replica_reads;
     report.read_repairs += hr.run.read_repairs;
-    hr.share = fabric_->host_io_share(dhosts_[i].id).Since(snaps[i].share0);
-    hr.run.singleflight_hits = hr.share.singleflight_hits;
-    hr.throttle_queue_time =
-        fabric_->host_throttle_queue_time(dhosts_[i].id) - snaps[i].queue_time0;
     report.cross_host_hits += hr.share.cross_tenant_hits;
     report.cross_host_bytes_saved += hr.share.cross_tenant_bytes_saved;
-    report.sm_logical_bytes += dhosts_[i].store->sm_used_bytes();
     report.aggregate_qps += hr.run.achieved_qps;
-    hit_weighted += hr.run.row_cache_hit_rate * static_cast<double>(st.served);
-    served_total += st.served;
-    report.hosts.push_back(std::move(hr));
+    hit_weighted += hr.run.row_cache_hit_rate * static_cast<double>(hr.run.queries_served);
+    served_total += hr.run.queries_served;
   }
+  report.hosts = std::move(hosts);
   report.mean_hit_rate =
       served_total == 0 ? 0 : hit_weighted / static_cast<double>(served_total);
-
-  report.sm_unique_bytes = service.sm_used_bytes();
-  uint64_t sm_reads1 = 0;
-  uint64_t corrupt1 = 0;
-  for (size_t d = 0; d < service.device_count(); ++d) {
-    sm_reads1 += service.device(d).stats().CounterValue("reads");
-    corrupt1 += service.device(d).stats().CounterValue("blocks_corrupt");
-  }
-  report.sm_device_reads = sm_reads1 - sm_reads0;
-  report.blocks_corrupt = corrupt1 - corrupt0;
-  if (repl != nullptr) report.extents_replicated = repl->extents_replicated() - replicated0;
-  report.io = service.cross_request_io_stats().Since(io0);
-  const FabricLinkStats fab1 = fabric_->fabric_stats();
-  report.fabric.requests = fab1.requests - fab0.requests;
-  report.fabric.responses = fab1.responses - fab0.responses;
-  report.fabric.request_bytes = fab1.request_bytes - fab0.request_bytes;
-  report.fabric.response_bytes = fab1.response_bytes - fab0.response_bytes;
-  report.fabric.queue_time = fab1.queue_time - fab0.queue_time;
-  report.fabric.dropped = fab1.dropped - fab0.dropped;
-  report.fabric.partition_deferred = fab1.partition_deferred - fab0.partition_deferred;
+  report.sm_logical_bytes = sm_logical_bytes;
+  report.sm_unique_bytes = sm_unique_bytes;
+  report.sm_device_reads = stack.device_reads;
+  report.blocks_corrupt = stack.blocks_corrupt;
+  report.extents_replicated = stack.extents_replicated;
+  report.io = stack.io;
+  report.fabric = fabric;
   return report;
 }
 

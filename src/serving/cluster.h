@@ -26,6 +26,7 @@
 #include "fabric/fabric_attached_service.h"
 #include "serving/host.h"
 #include "serving/power_model.h"
+#include "serving/run_meter.h"
 #include "tenant/multi_tenant_host.h"
 
 namespace sdm {
@@ -83,6 +84,12 @@ struct DisaggregatedConfig {
   size_t num_shards = 1;
 };
 
+/// Host `index`'s shard in a disaggregated cluster over `base`. Both
+/// schedules (single loop and sharded runtime) build their hosts from it,
+/// so they serve identical query streams. `obs` null = observability off.
+[[nodiscard]] ShardSpec DisaggregatedHostSpec(const HostSimConfig& base, size_t index,
+                                              Observability* obs);
+
 /// One host's slice of a disaggregated run.
 struct DisaggregatedHostReport {
   HostRunReport run;
@@ -118,6 +125,13 @@ struct DisaggregatedRunReport {
 
   [[nodiscard]] std::string Summary() const;
 };
+
+/// Assembles a disaggregated run's report: cluster totals folded from the
+/// host slices, plus this run's deltas of the shared stack and the fabric.
+/// Both schedules report through here.
+[[nodiscard]] DisaggregatedRunReport FoldDisaggregatedRun(
+    std::vector<DisaggregatedHostReport> hosts, Bytes sm_logical_bytes, Bytes sm_unique_bytes,
+    const StackCounters& stack, const FabricLinkStats& fabric);
 
 /// A small fleet of identical hosts used to demonstrate routing effects:
 /// every host loads the same model; a global user stream is partitioned by
@@ -180,13 +194,6 @@ class ClusterSimulation {
   [[nodiscard]] std::string ObsSloJson();
 
  private:
-  struct DisaggregatedHost {  // a host shard on the common loop
-    TenantId id = 0;  ///< host identity on the fabric service's ledger
-    std::unique_ptr<SdmStore> store;
-    std::unique_ptr<InferenceEngine> engine;
-    std::unique_ptr<QueryGenerator> workload;
-  };
-
   /// Serving host of arrival `i` carrying `user` (kLocal short-circuits
   /// the router: arrivals stay where they land).
   [[nodiscard]] size_t RouteTarget(size_t source, UserId user) const;
@@ -198,7 +205,7 @@ class ClusterSimulation {
   EventLoop dloop_;  ///< the one loop every host shard runs on
   std::unique_ptr<Observability> obs_;  ///< single-loop mode; outlives the stacks
   std::unique_ptr<FabricAttachedService> fabric_;
-  std::vector<DisaggregatedHost> dhosts_;
+  std::vector<ServingShard> dhosts_;  ///< host i is tenant i of fabric_
   // ---- Sharded parallel mode (src/serving/sharded_cluster.h) ----
   std::unique_ptr<ShardedClusterRuntime> sharded_;
 };

@@ -2,15 +2,14 @@
 //
 // HostSpec captures what distinguishes the paper's deployment platforms:
 // CPU sockets, DRAM, attached SSDs, accelerator, and (normalized) power.
-// HostSimulation assembles the full stack on one EventLoop — SdmStore,
-// ModelLoader, InferenceEngine, QueryGenerator — and drives an open-loop
-// Poisson arrival process to measure QPS/latency/hit-rate, the quantities
-// Tables 8/9/10/11 build their fleet arithmetic on.
+// HostSimulation builds one ServingShard owning its device stack on one
+// EventLoop and drives it as the single participant of the open-loop
+// Poisson arrival loop, measuring QPS/latency/hit-rate through the
+// RunMeter — the quantities Tables 8/9/10/11 build their fleet arithmetic
+// on.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "core/model_loader.h"
 #include "obs/observability.h"
 #include "serving/inference_engine.h"
+#include "serving/serving_shard.h"
 
 namespace sdm {
 
@@ -129,12 +129,13 @@ class HostSimulation {
   /// Convenience: warm the caches with `n` queries (no measurement).
   void Warmup(uint64_t n, double qps = 1000.0);
 
-  [[nodiscard]] SdmStore& store() { return *store_; }
-  [[nodiscard]] InferenceEngine& engine() { return *engine_; }
-  [[nodiscard]] QueryGenerator& workload() { return *workload_; }
+  [[nodiscard]] SdmStore& store() { return *shard_.store; }
+  [[nodiscard]] InferenceEngine& engine() { return *shard_.engine; }
+  [[nodiscard]] QueryGenerator& workload() { return *shard_.workload; }
   [[nodiscard]] EventLoop& loop() { return loop_; }
   [[nodiscard]] const HostSimConfig& config() const { return config_; }
-  [[nodiscard]] const LoadReport& load_report() const { return load_report_; }
+  [[nodiscard]] const LoadReport& load_report() const { return shard_.load_report; }
+  [[nodiscard]] const ServingShard& shard() const { return shard_; }
 
   /// Observability (src/obs): non-null iff tuning.obs.enabled() at
   /// LoadModel. Metric names carry the "host0/" source prefix.
@@ -151,18 +152,14 @@ class HostSimulation {
                                   double qps_lo = 50, double qps_hi = 100000);
 
  private:
-  [[nodiscard]] HostRunReport RunInternal(double target_qps, uint64_t num_queries,
-                                          const std::function<Query()>& next_query);
+  /// Serves `num_queries` arrivals of `host` (this host's shard) and reports.
+  [[nodiscard]] HostRunReport Serve(const ArrivalParticipant& host, double target_qps,
+                                    uint64_t num_queries);
 
   HostSimConfig config_;
   EventLoop loop_;
-  std::unique_ptr<Observability> obs_;  ///< must outlive store_/engine_
-  std::unique_ptr<SdmStore> store_;
-  std::unique_ptr<InferenceEngine> engine_;
-  std::unique_ptr<QueryGenerator> workload_;
-  LoadReport load_report_;
-  ModelConfig model_;
-  bool loaded_ = false;
+  std::unique_ptr<Observability> obs_;  ///< must outlive shard_
+  ServingShard shard_;                  ///< empty until LoadModel
 };
 
 }  // namespace sdm

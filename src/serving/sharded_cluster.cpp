@@ -6,22 +6,11 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "core/model_loader.h"
 #include "fault/replication_manager.h"
 
 namespace sdm {
 
 namespace {
-
-/// Must match cluster.cpp's Mix64 bit-for-bit: the sharded path replays the
-/// single-loop path's seed derivations (host workload/store/arrival seeds)
-/// so the two modes serve identical query streams.
-uint64_t Mix64(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 /// 64B NVMe SQE on the request direction — same constant the IoEngine
 /// fabric path uses (io_engine.cpp).
@@ -148,34 +137,14 @@ Status ShardedClusterRuntime::LoadModel(const ModelConfig& model) {
                                 TenantClass::kForeground);
 
     // Store / loader / engine / workload: the single-loop path's exact
-    // construction and seed derivations (cluster.cpp), per host LP.
-    SdmStoreConfig scfg;
-    scfg.fm_capacity = base_config_.fm_capacity;
-    scfg.tuning = base_config_.tuning;
-    scfg.seed = base_config_.seed ^ Mix64(i + 0x7e0a);
-    scfg.shared_device = h.slice.get();
-    scfg.tenant_id = local_id;
-    scfg.tenant_class = TenantClass::kForeground;
-    if (!obs_.empty()) {
-      scfg.obs = obs_[1 + i].get();
-      scfg.obs_prefix = "host" + std::to_string(i) + "/";
-    }
-    h.store = std::make_unique<SdmStore>(scfg, &runtime_.loop(1 + i));
-
-    auto report = ModelLoader::Load(model, base_config_.loader, h.store.get());
-    if (!report.ok()) return report.status();
-
-    InferenceConfig icfg = base_config_.inference;
-    icfg.accelerator = base_config_.host.accelerator;
-    icfg.dense.flops_per_sec = base_config_.host.dense_flops;
-    if (icfg.max_concurrent_queries <= 0) {
-      icfg.max_concurrent_queries = base_config_.host.cores();
-    }
-    h.engine = std::make_unique<InferenceEngine>(h.store.get(), model, icfg);
-
-    WorkloadConfig wcfg = base_config_.workload;
-    wcfg.seed = base_config_.workload.seed ^ Mix64(0x7e0a + i);
-    h.workload = std::make_unique<QueryGenerator>(model, wcfg);
+    // construction and seed derivations, per host LP.
+    ShardSpec spec =
+        DisaggregatedHostSpec(base_config_, i, obs_.empty() ? nullptr : obs_[1 + i].get());
+    spec.shared_device = h.slice.get();
+    spec.tenant_id = local_id;
+    auto shard = BuildServingShard(base_config_, model, spec, &runtime_.loop(1 + i));
+    if (!shard.ok()) return shard.status();
+    h.shard = std::move(shard).value();
 
     // Self-healing control plane: health is observed HOST-side (the slice's
     // monitor scores this host's completions), but re-replication runs on
@@ -285,52 +254,25 @@ size_t ShardedClusterRuntime::RouteTarget(size_t source, UserId user) const {
   return router_.Route(user);
 }
 
-CrossRequestIoStats ShardedClusterRuntime::SliceIoStats() const {
+StackCounters ShardedClusterRuntime::StackTotals() {
   // Scheduler effectiveness lives host-side in sharded mode — plus the
   // device stack's own schedulers, idle except for the self-healing layer's
   // re-replication copy chunks riding their background lanes (included so
   // the single-loop oracle sees the same flush/background totals).
-  CrossRequestIoStats agg;
-  auto add = [&agg](const CrossRequestIoStats& one) {
-    agg.device_reads += one.device_reads;
-    agg.cross_request_merges += one.cross_request_merges;
-    agg.singleflight_hits += one.singleflight_hits;
-    agg.singleflight_bytes_saved += one.singleflight_bytes_saved;
-    agg.flushes += one.flushes;
-    agg.prefetch_reads += one.prefetch_reads;
-    agg.prefetch_dropped += one.prefetch_dropped;
-    agg.prefetch_promoted += one.prefetch_promoted;
-    agg.background_reads += one.background_reads;
-    agg.background_parked += one.background_parked;
-    agg.background_promoted += one.background_promoted;
-    agg.deadline_expired += one.deadline_expired;
-    agg.hedges_issued += one.hedges_issued;
-    agg.hedges_won += one.hedges_won;
-  };
+  StackCounters totals = StackCounters::Of(*stack_);
   for (const HostShard& h : hosts_) {
-    if (h.slice == nullptr) continue;
-    add(h.slice->cross_request_io_stats());
+    if (h.slice != nullptr) totals.io += h.slice->cross_request_io_stats();
   }
-  add(stack_->cross_request_io_stats());
-  return agg;
+  return totals;
 }
 
-FabricLinkStats ShardedClusterRuntime::FabricStats() const {
-  FabricLinkStats agg;
-  auto add = [&agg](const FabricLinkStats& one) {
-    agg.requests += one.requests;
-    agg.responses += one.responses;
-    agg.request_bytes += one.request_bytes;
-    agg.response_bytes += one.response_bytes;
-    agg.queue_time += one.queue_time;
-    agg.dropped += one.dropped;
-    agg.partition_deferred += one.partition_deferred;
-  };
+FabricLinkStats ShardedClusterRuntime::FabricTotals() const {
+  FabricLinkStats totals;
   for (const HostShard& h : hosts_) {
-    for (const auto& link : h.request_links) add(link->stats());
+    for (const auto& link : h.request_links) totals += link->stats();
   }
-  for (const auto& link : response_links_) add(link->stats());
-  return agg;
+  for (const auto& link : response_links_) totals += link->stats();
+  return totals;
 }
 
 std::string ShardedClusterRuntime::ObsMetricsJson() {
@@ -366,48 +308,22 @@ std::string ShardedClusterRuntime::ObsSloJson() {
 DisaggregatedRunReport ShardedClusterRuntime::Run(double total_qps,
                                                   uint64_t num_queries) {
   assert(total_qps > 0);
-  DisaggregatedRunReport report;
-  if (!loaded_) return report;
+  if (!loaded_) return {};
   const size_t n = hosts_.size();
   const double qps_each = total_qps / static_cast<double>(n);
   const uint64_t queries_each = num_queries / n;
 
-  // ---- Per-run snapshots (counters are cumulative across runs) ----
-  struct Snapshot {
-    uint64_t cache_hits0 = 0;
-    uint64_t cache_miss0 = 0;
-    TenantIoShare share0;
-    SimDuration queue_time0;
-    uint64_t xhost_hits0 = 0;
-    Bytes xhost_bytes0 = 0;
-    uint64_t replica0 = 0;
-    uint64_t repairs0 = 0;
-  };
-  std::vector<Snapshot> snaps(n);
+  std::vector<RunMeter> meters;
+  meters.reserve(n);
+  // Cross-host joins happen at the device endpoint in sharded mode (the
+  // slice scheduler only sees its own host); their start-of-run counts.
+  std::vector<std::pair<uint64_t, Bytes>> xhost0(n);
   for (size_t i = 0; i < n; ++i) {
-    if (DualRowCache* rc = hosts_[i].store->row_cache(); rc != nullptr) {
-      snaps[i].cache_hits0 = rc->stats().hits;
-      snaps[i].cache_miss0 = rc->stats().misses;
-    }
-    snaps[i].share0 = hosts_[i].slice->tenant_io_share(0);
-    snaps[i].queue_time0 = hosts_[i].slice->throttle_queue_time(0);
-    snaps[i].xhost_hits0 = endpoint_->cross_host_hits(i);
-    snaps[i].xhost_bytes0 = endpoint_->cross_host_bytes_saved(i);
-    snaps[i].replica0 =
-        hosts_[i].engine->lookups().stats().CounterValue("replica_reads");
-    snaps[i].repairs0 =
-        hosts_[i].engine->lookups().stats().CounterValue("read_repairs");
+    meters.emplace_back(hosts_[i].shard);
+    xhost0[i] = {endpoint_->cross_host_hits(i), endpoint_->cross_host_bytes_saved(i)};
   }
-  uint64_t sm_reads0 = 0;
-  uint64_t corrupt0 = 0;
-  for (size_t d = 0; d < stack_->device_count(); ++d) {
-    sm_reads0 += stack_->device(d).stats().CounterValue("reads");
-    corrupt0 += stack_->device(d).stats().CounterValue("blocks_corrupt");
-  }
-  const ReplicationManager* repl = stack_->replication();
-  const uint64_t replicated0 = repl != nullptr ? repl->extents_replicated() : 0;
-  const CrossRequestIoStats io0 = SliceIoStats();
-  const FabricLinkStats fab0 = FabricStats();
+  const StackCounters stack0 = StackTotals();
+  const FabricLinkStats fab0 = FabricTotals();
 
   // ---- Arrival precomputation ----
   // The single loop executes arrival events in (time, schedule-seq) order,
@@ -428,7 +344,7 @@ DisaggregatedRunReport ShardedClusterRuntime::Run(double total_qps,
   std::vector<Planned> plan;
   plan.reserve(n * queries_each);
   for (size_t i = 0; i < n; ++i) {
-    Rng arrivals(base_config_.seed ^ Mix64(i + 1) ^ 0xa11e);
+    Rng arrivals(ArrivalSeed(FleetHostSeed(base_config_.seed, i)));
     SimTime next_arrival = t0;
     for (uint64_t q = 0; q < queries_each; ++q) {
       next_arrival += Seconds(arrivals.NextExponential(1.0 / qps_each));
@@ -439,20 +355,15 @@ DisaggregatedRunReport ShardedClusterRuntime::Run(double total_qps,
   // single loop's FIFO tie-break for its scheduling pass.
   std::stable_sort(plan.begin(), plan.end(),
                    [](const Planned& a, const Planned& b) { return a.at < b.at; });
-  for (HostShard& h : hosts_) h.stats = ArrivalStats{};
+  for (HostShard& h : hosts_) h.stats = ArrivalStats();
   for (const Planned& p : plan) {
-    const Query query = hosts_[p.source].workload->Next();
+    const Query query = hosts_[p.source].shard.workload->Next();
     const size_t target = RouteTarget(p.source, query.user);
     runtime_.loop(1 + target).ScheduleAt(p.at, [this, target, query] {
       HostShard& h = hosts_[target];
       ++h.stats.served;
-      h.engine->Submit(query, [&st = h.stats](Status status, const QueryTrace& trace) {
-        if (status.ok()) {
-          st.latencies.Record(trace.total);
-          ++st.completed;
-          if (trace.degraded) ++st.degraded;
-          st.rows_failed += trace.rows_failed;
-        }
+      h.shard.engine->Submit(query, [&st = h.stats](Status status, const QueryTrace& trace) {
+        st.Record(status, trace);
       });
     });
   }
@@ -464,81 +375,22 @@ DisaggregatedRunReport ShardedClusterRuntime::Run(double total_qps,
   for (size_t lp = 0; lp < runtime_.process_count(); ++lp) {
     t_end = std::max(t_end, runtime_.loop(lp).last_event_time());
   }
-  const double span_s = (t_end - t0).seconds();
 
-  // ---- Reports (mirrors ClusterSimulation::RunDisaggregated) ----
-  double hit_weighted = 0;
-  uint64_t served_total = 0;
+  std::vector<DisaggregatedHostReport> reports(n);
+  Bytes sm_logical = 0;
   for (size_t i = 0; i < n; ++i) {
-    const ArrivalStats& st = hosts_[i].stats;
-    DisaggregatedHostReport hr;
-    hr.run.queries_completed = st.completed;
-    hr.run.queries_served = st.served;
-    hr.run.offered_qps = qps_each;
-    hr.run.achieved_qps = span_s > 0 ? static_cast<double>(st.completed) / span_s : 0;
-    hr.run.p50 = SimDuration(st.latencies.P50());
-    hr.run.p95 = SimDuration(st.latencies.P95());
-    hr.run.p99 = SimDuration(st.latencies.P99());
-    hr.run.mean = SimDuration(static_cast<int64_t>(st.latencies.mean()));
-    if (DualRowCache* rc = hosts_[i].store->row_cache(); rc != nullptr) {
-      const uint64_t h = rc->stats().hits - snaps[i].cache_hits0;
-      const uint64_t m = rc->stats().misses - snaps[i].cache_miss0;
-      hr.run.row_cache_hit_rate =
-          (h + m) == 0 ? 0 : static_cast<double>(h) / static_cast<double>(h + m);
-    }
-    hr.run.queries_degraded = st.degraded;
-    hr.run.rows_failed = st.rows_failed;
-    report.queries_degraded += st.degraded;
-    report.rows_failed += st.rows_failed;
-    hr.run.replica_reads =
-        hosts_[i].engine->lookups().stats().CounterValue("replica_reads") -
-        snaps[i].replica0;
-    hr.run.read_repairs =
-        hosts_[i].engine->lookups().stats().CounterValue("read_repairs") -
-        snaps[i].repairs0;
-    report.replica_reads += hr.run.replica_reads;
-    report.read_repairs += hr.run.read_repairs;
-    hr.share = hosts_[i].slice->tenant_io_share(0).Since(snaps[i].share0);
-    // Cross-host joins happen at the device endpoint in sharded mode (the
-    // slice scheduler only sees this host); overlay its ledger so the
-    // report fields keep their single-loop meaning.
-    hr.share.cross_tenant_hits = endpoint_->cross_host_hits(i) - snaps[i].xhost_hits0;
-    hr.share.cross_tenant_bytes_saved =
-        endpoint_->cross_host_bytes_saved(i) - snaps[i].xhost_bytes0;
-    hr.run.singleflight_hits = hr.share.singleflight_hits;
-    hr.throttle_queue_time =
-        hosts_[i].slice->throttle_queue_time(0) - snaps[i].queue_time0;
-    report.cross_host_hits += hr.share.cross_tenant_hits;
-    report.cross_host_bytes_saved += hr.share.cross_tenant_bytes_saved;
-    report.sm_logical_bytes += hosts_[i].store->sm_used_bytes();
-    report.aggregate_qps += hr.run.achieved_qps;
-    hit_weighted += hr.run.row_cache_hit_rate * static_cast<double>(st.served);
-    served_total += st.served;
-    report.hosts.push_back(std::move(hr));
+    DisaggregatedHostReport& hr = reports[i];
+    hr.run = meters[i].Report(hosts_[i].stats, qps_each, t_end - t0);
+    hr.share = meters[i].share();
+    // Overlay the endpoint's cross-host ledger so the fields keep their
+    // single-loop meaning.
+    hr.share.cross_tenant_hits = endpoint_->cross_host_hits(i) - xhost0[i].first;
+    hr.share.cross_tenant_bytes_saved = endpoint_->cross_host_bytes_saved(i) - xhost0[i].second;
+    hr.throttle_queue_time = meters[i].throttle_queue_time();
+    sm_logical += hosts_[i].shard.store->sm_used_bytes();
   }
-  report.mean_hit_rate =
-      served_total == 0 ? 0 : hit_weighted / static_cast<double>(served_total);
-
-  report.sm_unique_bytes = stack_->sm_used_bytes();
-  uint64_t sm_reads1 = 0;
-  uint64_t corrupt1 = 0;
-  for (size_t d = 0; d < stack_->device_count(); ++d) {
-    sm_reads1 += stack_->device(d).stats().CounterValue("reads");
-    corrupt1 += stack_->device(d).stats().CounterValue("blocks_corrupt");
-  }
-  report.sm_device_reads = sm_reads1 - sm_reads0;
-  report.blocks_corrupt = corrupt1 - corrupt0;
-  if (repl != nullptr) report.extents_replicated = repl->extents_replicated() - replicated0;
-  report.io = SliceIoStats().Since(io0);
-  const FabricLinkStats fab1 = FabricStats();
-  report.fabric.requests = fab1.requests - fab0.requests;
-  report.fabric.responses = fab1.responses - fab0.responses;
-  report.fabric.request_bytes = fab1.request_bytes - fab0.request_bytes;
-  report.fabric.response_bytes = fab1.response_bytes - fab0.response_bytes;
-  report.fabric.queue_time = fab1.queue_time - fab0.queue_time;
-  report.fabric.dropped = fab1.dropped - fab0.dropped;
-  report.fabric.partition_deferred = fab1.partition_deferred - fab0.partition_deferred;
-  return report;
+  return FoldDisaggregatedRun(std::move(reports), sm_logical, stack_->sm_used_bytes(),
+                              StackTotals().Since(stack0), FabricTotals().Since(fab0));
 }
 
 }  // namespace sdm

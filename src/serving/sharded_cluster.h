@@ -83,13 +83,13 @@ class ShardedClusterRuntime {
   Status InstallFaultPlan(const FaultPlan& plan, uint64_t seed);
 
   /// The sharded counterpart of ClusterSimulation::RunDisaggregated: same
-  /// arrival construction, same report assembly. Callable repeatedly
+  /// arrival draws, same shard builder, same RunMeter and report fold. Callable repeatedly
   /// (warmup then measure); caches stay warm, clocks carry over.
   [[nodiscard]] DisaggregatedRunReport Run(double total_qps, uint64_t num_queries);
 
   [[nodiscard]] size_t host_count() const { return hosts_.size(); }
   [[nodiscard]] size_t num_shards() const { return num_shards_; }
-  [[nodiscard]] SdmStore& host_store(size_t i) { return *hosts_[i].store; }
+  [[nodiscard]] SdmStore& host_store(size_t i) { return *hosts_[i].shard.store; }
   /// The device shard's stack (test/report introspection only off-run).
   [[nodiscard]] SharedDeviceService& device_stack() { return *stack_; }
   [[nodiscard]] ShardDeviceEndpoint& endpoint() { return *endpoint_; }
@@ -129,9 +129,7 @@ class ShardedClusterRuntime {
     std::vector<std::unique_ptr<FabricLink>> request_links;  ///< per port
     std::unique_ptr<FaultInjector> injector;  ///< partition-defer clone
     std::unique_ptr<SharedDeviceService> slice;
-    std::unique_ptr<SdmStore> store;
-    std::unique_ptr<InferenceEngine> engine;
-    std::unique_ptr<QueryGenerator> workload;
+    ServingShard shard;  ///< store, engine and workload on this host's LP
     ArrivalStats stats;  ///< current run's serving stats (this LP only)
   };
 
@@ -140,8 +138,9 @@ class ShardedClusterRuntime {
   void Doorbell(size_t host, size_t port, std::vector<RemoteReadOp> ops);
 
   [[nodiscard]] size_t RouteTarget(size_t source, UserId user) const;
-  [[nodiscard]] CrossRequestIoStats SliceIoStats() const;
-  [[nodiscard]] FabricLinkStats FabricStats() const;
+  /// The device stack's counters, scheduler stats summed over its slices.
+  [[nodiscard]] StackCounters StackTotals();
+  [[nodiscard]] FabricLinkStats FabricTotals() const;
 
   HostSimConfig base_config_;
   StickyRouter router_;

@@ -4,27 +4,10 @@
 #include <cstdio>
 
 #include "common/kv_format.h"
-#include "common/rng.h"
 #include "serving/arrival_loop.h"
+#include "serving/run_meter.h"
 
 namespace sdm {
-
-namespace {
-
-uint64_t Mix64(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// Per-tenant workload seed, derived identically in both modes so an
-/// isolated-vs-shared sweep serves the same per-tenant query streams.
-uint64_t TenantWorkloadSeed(const WorkloadConfig& base, size_t tenant_index) {
-  return base.seed ^ Mix64(0x7e0a + tenant_index);
-}
-
-}  // namespace
 
 MultiTenantHost::MultiTenantHost(HostSimConfig base_config, uint64_t seed,
                                  bool shared_device)
@@ -36,13 +19,19 @@ SdmStore& MultiTenantHost::tenant_store(size_t i) {
   return shared_mode_ ? *shards_[i].store : isolated_[i].sim->store();
 }
 
+InferenceEngine& MultiTenantHost::tenant_engine(size_t i) {
+  return shared_mode_ ? *shards_[i].engine : isolated_[i].sim->engine();
+}
+
 Status MultiTenantHost::AddTenant(const ModelConfig& model, Bytes fm_share,
                                   TenantClass cls) {
+  // Tenant i's seeds are the same in both modes, so an isolated-vs-shared
+  // sweep serves the same per-tenant query streams.
   if (!shared_mode_) {
     HostSimConfig cfg = base_config_;
     cfg.fm_capacity = fm_share;
-    cfg.seed = seed_ ^ Mix64(isolated_.size() + 0x7e0a);
-    cfg.workload.seed = TenantWorkloadSeed(base_config_.workload, isolated_.size());
+    cfg.seed = ShardSeed(seed_, isolated_.size());
+    cfg.workload.seed = ShardSeed(base_config_.workload.seed, isolated_.size());
     IsolatedTenant t;
     t.model = model;
     t.cls = cls;
@@ -73,41 +62,21 @@ Status MultiTenantHost::AddTenant(const ModelConfig& model, Bytes fm_share,
     service_ = std::make_unique<SharedDeviceService>(std::move(dcfg), &loop_);
   }
 
-  Shard shard;
-  shard.model = model;
-  shard.cls = cls;
-  shard.id = service_->RegisterTenant(model.name, cls);
-
-  SdmStoreConfig scfg;
-  scfg.fm_capacity = fm_share;
-  scfg.tuning = base_config_.tuning;
-  scfg.seed = seed_ ^ Mix64(shards_.size() + 0x7e0a);
-  scfg.shared_device = service_.get();
-  scfg.tenant_id = shard.id;
-  scfg.tenant_class = cls;
+  const size_t index = shards_.size();
+  ShardSpec spec;
+  spec.fm_capacity = fm_share;
+  spec.store_seed = ShardSeed(seed_, index);
+  spec.workload_seed = ShardSeed(base_config_.workload.seed, index);
+  spec.shared_device = service_.get();
+  spec.tenant_id = service_->RegisterTenant(model.name, cls);
+  spec.tenant_class = cls;
   if (obs_ != nullptr) {
-    scfg.obs = obs_.get();
-    scfg.obs_prefix = "tenant" + std::to_string(shards_.size()) + "/";
+    spec.obs = obs_.get();
+    spec.obs_prefix = "tenant" + std::to_string(index) + "/";
   }
-  shard.store = std::make_unique<SdmStore>(scfg, &loop_);
-
-  auto report = ModelLoader::Load(model, base_config_.loader, shard.store.get());
-  if (!report.ok()) return report.status();
-  shard.load_report = std::move(report).value();
-
-  InferenceConfig icfg = base_config_.inference;
-  icfg.accelerator = base_config_.host.accelerator;
-  icfg.dense.flops_per_sec = base_config_.host.dense_flops;
-  if (icfg.max_concurrent_queries <= 0) {
-    icfg.max_concurrent_queries = base_config_.host.cores();
-  }
-  shard.engine = std::make_unique<InferenceEngine>(shard.store.get(), model, icfg);
-
-  WorkloadConfig wcfg = base_config_.workload;
-  wcfg.seed = TenantWorkloadSeed(base_config_.workload, shards_.size());
-  shard.workload = std::make_unique<QueryGenerator>(model, wcfg);
-
-  shards_.push_back(std::move(shard));
+  auto shard = BuildServingShard(base_config_, model, spec, &loop_);
+  if (!shard.ok()) return shard.status();
+  shards_.push_back(std::move(shard).value());
   return Status::Ok();
 }
 
@@ -125,10 +94,7 @@ MultiTenantReport MultiTenantHost::RunIsolated(double qps, uint64_t queries) {
     tr.model_name = t.model.name;
     tr.cls = t.cls;
     tr.run = t.sim->Run(qps, queries);
-    tr.fm_used = t.sim->store().fm_direct_bytes() + t.sim->store().fm_mapping_bytes() +
-                 (t.sim->store().row_cache() != nullptr
-                      ? t.sim->store().row_cache()->capacity()
-                      : 0);
+    tr.fm_used = t.sim->shard().fm_used();
     tr.sm_used = t.sim->store().sm_used_bytes();
     tr.throttle_queue_time = t.sim->store().throttle().QueueTime(0);
     report.fm_total += tr.fm_used;
@@ -149,83 +115,30 @@ MultiTenantReport MultiTenantHost::RunShared(double qps, uint64_t queries) {
   report.fm_capacity = base_config_.fm_capacity;
   if (shards_.empty()) return report;
 
-  // ---- Per-run snapshots (counters are cumulative across runs) ----
-  struct Snapshot {
-    uint64_t cache_hits0 = 0;
-    uint64_t cache_miss0 = 0;
-    TenantIoShare share0;
-    SimDuration queue_time0;
-  };
-  std::vector<Snapshot> snaps(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (DualRowCache* rc = shards_[i].store->row_cache(); rc != nullptr) {
-      snaps[i].cache_hits0 = rc->stats().hits;
-      snaps[i].cache_miss0 = rc->stats().misses;
-    }
-    snaps[i].share0 = service_->tenant_io_share(shards_[i].id);
-    snaps[i].queue_time0 = service_->throttle_queue_time(shards_[i].id);
-  }
-  uint64_t sm_reads0 = 0;
-  for (size_t d = 0; d < service_->device_count(); ++d) {
-    sm_reads0 += service_->device(d).stats().CounterValue("reads");
-  }
-  const CrossRequestIoStats io0 = service_->cross_request_io_stats();
-
   // ---- Interleave every tenant's open-loop Poisson arrivals ----
-  // (The loop itself lives in serving/arrival_loop.h; the cluster's
-  // disaggregated mode generalizes it with a non-identity route.)
+  std::vector<RunMeter> meters;
   std::vector<ArrivalParticipant> participants;
+  meters.reserve(shards_.size());
   participants.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    participants.push_back(ArrivalParticipant{shards_[i].engine.get(),
-                                              shards_[i].workload.get(),
-                                              seed_ ^ Mix64(i + 1) ^ 0xa11e});
+    meters.emplace_back(shards_[i]);
+    participants.push_back(shards_[i].Participant(ArrivalSeed(FleetHostSeed(seed_, i))));
   }
+  const StackCounters stack0 = StackCounters::Of(*service_);
   const SimTime t_begin = loop_.Now();
-  std::vector<ArrivalStats> states = RunInterleavedArrivals(
-      loop_, participants, qps, queries,
-      [](size_t source, const Query&) { return source; });
-  const SimTime t_end = loop_.Now();
-  const double span_s = (t_end - t_begin).seconds();
+  const std::vector<ArrivalStats> states =
+      RunInterleavedArrivals(loop_, participants, qps, queries);
+  const SimDuration span = loop_.Now() - t_begin;
 
-  // ---- Reports ----
   for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = shards_[i];
-    ArrivalStats& state = states[i];
+    const ServingShard& shard = shards_[i];
     TenantReport tr;
-    tr.model_name = shard.model.name;
-    tr.cls = shard.cls;
-    tr.run.queries_completed = state.completed;
-    tr.run.queries_served = state.served;
-    tr.run.queries_degraded = state.degraded;
-    tr.run.rows_failed = state.rows_failed;
-    tr.run.offered_qps = qps;
-    tr.run.achieved_qps =
-        span_s > 0 ? static_cast<double>(state.completed) / span_s : 0;
-    tr.run.p50 = SimDuration(state.latencies.P50());
-    tr.run.p95 = SimDuration(state.latencies.P95());
-    tr.run.p99 = SimDuration(state.latencies.P99());
-    tr.run.mean = SimDuration(static_cast<int64_t>(state.latencies.mean()));
-    if (DualRowCache* rc = shard.store->row_cache(); rc != nullptr) {
-      const uint64_t h = rc->stats().hits - snaps[i].cache_hits0;
-      const uint64_t m = rc->stats().misses - snaps[i].cache_miss0;
-      tr.run.row_cache_hit_rate =
-          (h + m) == 0 ? 0 : static_cast<double>(h) / static_cast<double>(h + m);
-    }
-    const TenantIoShare share =
-        service_->tenant_io_share(shard.id).Since(snaps[i].share0);
-    tr.singleflight_hits = share.singleflight_hits;
-    tr.cross_tenant_hits = share.cross_tenant_hits;
-    tr.cross_tenant_bytes_saved = share.cross_tenant_bytes_saved;
-    tr.fg_lane_bytes = share.demand_bytes;
-    tr.bg_lane_bytes = share.background_bytes;
-    tr.run.singleflight_hits = tr.singleflight_hits;
-    tr.throttle_queue_time =
-        service_->throttle_queue_time(shard.id) - snaps[i].queue_time0;
-    tr.fm_used = shard.store->fm_direct_bytes() + shard.store->fm_mapping_bytes() +
-                 (shard.store->row_cache() != nullptr
-                      ? shard.store->row_cache()->capacity()
-                      : 0);
+    tr.model_name = shard.engine->model().name;
+    tr.cls = shard.store->tenant_class();
+    tr.run = meters[i].Report(states[i], qps, span);
+    tr.share = meters[i].share();
+    tr.throttle_queue_time = meters[i].throttle_queue_time();
+    tr.fm_used = shard.fm_used();
     tr.sm_used = shard.store->sm_used_bytes();
     report.fm_total += tr.fm_used;
     report.sm_logical_bytes += tr.sm_used;
@@ -233,12 +146,9 @@ MultiTenantReport MultiTenantHost::RunShared(double qps, uint64_t queries) {
   }
 
   report.sm_unique_bytes = service_->sm_used_bytes();
-  uint64_t sm_reads1 = 0;
-  for (size_t d = 0; d < service_->device_count(); ++d) {
-    sm_reads1 += service_->device(d).stats().CounterValue("reads");
-  }
-  report.sm_device_reads = sm_reads1 - sm_reads0;
-  report.io = service_->cross_request_io_stats().Since(io0);
+  const StackCounters stack = StackCounters::Of(*service_).Since(stack0);
+  report.sm_device_reads = stack.device_reads;
+  report.io = stack.io;
 
   const Bytes fm_needed_without_sm = report.fm_total + report.sm_logical_bytes;
   report.fits_in_fm = fm_needed_without_sm <= report.fm_capacity;
@@ -253,10 +163,10 @@ std::string TenantReport::Summary() const {
       .Kv("p95", "%.2fms", run.p95.millis())
       .Kv("p99", "%.2fms", run.p99.millis())
       .Kv("hit", "%.1f%%", run.row_cache_hit_rate * 100)
-      .Kv("sf", "%llu", static_cast<unsigned long long>(singleflight_hits))
-      .Kv("xsf", "%llu", static_cast<unsigned long long>(cross_tenant_hits))
-      .Kv("fg", "%lluKiB", static_cast<unsigned long long>(fg_lane_bytes / kKiB))
-      .Kv("bg", "%lluKiB", static_cast<unsigned long long>(bg_lane_bytes / kKiB))
+      .Kv("sf", "%llu", static_cast<unsigned long long>(share.singleflight_hits))
+      .Kv("xsf", "%llu", static_cast<unsigned long long>(share.cross_tenant_hits))
+      .Kv("fg", "%lluKiB", static_cast<unsigned long long>(share.demand_bytes / kKiB))
+      .Kv("bg", "%lluKiB", static_cast<unsigned long long>(share.background_bytes / kKiB))
       .Kv("tq", "%.0fus", throttle_queue_time.micros());
   return f.str();
 }

@@ -40,12 +40,11 @@ struct TenantReport {
   Bytes fm_used = 0;
   Bytes sm_used = 0;  ///< logical footprint (shared extents counted)
 
-  // ---- Shared-device fair-share ledger (zeroes in isolated mode) ----
-  uint64_t singleflight_hits = 0;  ///< runs served by an existing read
-  uint64_t cross_tenant_hits = 0;  ///< ...owned by a DIFFERENT tenant
-  Bytes cross_tenant_bytes_saved = 0;
-  Bytes fg_lane_bytes = 0;  ///< bus bytes of foreground-lane SQEs owned
-  Bytes bg_lane_bytes = 0;  ///< bus bytes of background-lane SQEs owned
+  /// Shared-device fair-share ledger, this run only (zeroes in isolated
+  /// mode): single-flight hits, those riding a DIFFERENT tenant's read, and
+  /// the bus bytes of the foreground- (demand_bytes) and background-lane
+  /// SQEs this tenant owned.
+  TenantIoShare share;
   SimDuration throttle_queue_time;  ///< virtual time queued for IO slots
 
   [[nodiscard]] std::string Summary() const;
@@ -96,6 +95,8 @@ class MultiTenantHost {
   [[nodiscard]] SharedDeviceService* service() { return service_.get(); }
   /// Shared-mode shard store (isolated mode: the tenant sim's store).
   [[nodiscard]] SdmStore& tenant_store(size_t i);
+  /// Tenant i's inference engine (either mode).
+  [[nodiscard]] InferenceEngine& tenant_engine(size_t i);
 
   /// Observability exports (src/obs), shared mode only: the device stack
   /// records under "svc/", tenant i's store under "tenant<i>/". "{}" when
@@ -106,15 +107,6 @@ class MultiTenantHost {
   [[nodiscard]] std::string ObsSloJson();
 
  private:
-  struct Shard {  // shared mode: a real tenant shard on the common loop
-    ModelConfig model;
-    TenantClass cls = TenantClass::kForeground;
-    TenantId id = 0;
-    std::unique_ptr<SdmStore> store;
-    std::unique_ptr<InferenceEngine> engine;
-    std::unique_ptr<QueryGenerator> workload;
-    LoadReport load_report;
-  };
   struct IsolatedTenant {  // isolated mode: a whole private host
     ModelConfig model;
     TenantClass cls = TenantClass::kForeground;
@@ -130,7 +122,7 @@ class MultiTenantHost {
   EventLoop loop_;  ///< shared-mode loop (unused in isolated mode)
   std::unique_ptr<Observability> obs_;  ///< shared mode; outlives the stacks
   std::unique_ptr<SharedDeviceService> service_;  ///< lazily built (shared mode)
-  std::vector<Shard> shards_;
+  std::vector<ServingShard> shards_;  ///< shared mode: tenant i's shard
   std::vector<IsolatedTenant> isolated_;
 };
 

@@ -506,8 +506,8 @@ TEST(ObsServing, SharedTenantsReportIsByteIdenticalWithObsOnAndOff) {
   for (size_t i = 0; i < ra.tenants.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "tenant " << i);
     ExpectHostReportsEqual(ra.tenants[i].run, rb.tenants[i].run);
-    EXPECT_EQ(ra.tenants[i].fg_lane_bytes, rb.tenants[i].fg_lane_bytes);
-    EXPECT_EQ(ra.tenants[i].bg_lane_bytes, rb.tenants[i].bg_lane_bytes);
+    EXPECT_EQ(ra.tenants[i].share.demand_bytes, rb.tenants[i].share.demand_bytes);
+    EXPECT_EQ(ra.tenants[i].share.background_bytes, rb.tenants[i].share.background_bytes);
   }
   EXPECT_EQ(ra.sm_device_reads, rb.sm_device_reads);
   EXPECT_EQ(a.ObsMetricsJson(), "{}");

@@ -261,6 +261,73 @@ ReplicationEpisode RunSickEndpointEpisode(const TuningConfig& knobs) {
   return ep;
 }
 
+TEST(SelfHealing, AggregatedIoStatsKeepReplicaHedges) {
+  // A sick-endpoint episode replicates device 0's extents; a later
+  // fail-slow window on device 0 then makes its reads hedge, and the hedges
+  // route to those replicas. The stack-wide stats must equal the sum of the
+  // per-device scheduler snapshots in every field, replica_hedges included.
+  HostSimConfig cfg = HealHostConfig();
+  cfg.tuning.enable_checksums = true;
+  cfg.tuning.enable_health_monitor = true;
+  cfg.tuning.health_window = 32;
+  cfg.tuning.health_probe_interval = 16;
+  cfg.tuning.enable_replication = true;
+  cfg.tuning.hedge_latency_factor = 1.5;
+  cfg.tuning.hedge_min_samples = 16;
+  HostSimulation sim(cfg);
+  ASSERT_TRUE(sim.LoadModel(HealModel()).ok());
+  SdmStore& store = sim.store();
+  SharedDeviceService& svc = store.device_service();
+  for (int i = 0; i < 32; ++i) svc.health().Record(0, false);
+  (void)sim.Run(200, 2000);
+  ASSERT_GT(svc.replication()->extents_replicated(), 0u);
+
+  FaultPlan plan;
+  plan.FailSlow(sim.loop().Now(), sim.loop().Now() + Seconds(60), /*multiplier=*/20.0,
+                /*device=*/0);
+  FaultInjector inj(plan, &sim.loop(), 5);
+  svc.InstallFaultInjector(&inj);
+  (void)sim.Run(200, 2000);
+  svc.InstallFaultInjector(nullptr);
+
+  CrossRequestIoStats sum;
+  for (size_t d = 0; d < store.sm_device_count(); ++d) {
+    const CrossRequestIoStats one = store.scheduler(d).Snapshot();
+    sum.device_reads += one.device_reads;
+    sum.cross_request_merges += one.cross_request_merges;
+    sum.singleflight_hits += one.singleflight_hits;
+    sum.singleflight_bytes_saved += one.singleflight_bytes_saved;
+    sum.flushes += one.flushes;
+    sum.prefetch_reads += one.prefetch_reads;
+    sum.prefetch_dropped += one.prefetch_dropped;
+    sum.prefetch_promoted += one.prefetch_promoted;
+    sum.background_reads += one.background_reads;
+    sum.background_parked += one.background_parked;
+    sum.background_promoted += one.background_promoted;
+    sum.deadline_expired += one.deadline_expired;
+    sum.hedges_issued += one.hedges_issued;
+    sum.hedges_won += one.hedges_won;
+    sum.replica_hedges += one.replica_hedges;
+  }
+  const CrossRequestIoStats agg = store.cross_request_io_stats();
+  EXPECT_EQ(agg.device_reads, sum.device_reads);
+  EXPECT_EQ(agg.cross_request_merges, sum.cross_request_merges);
+  EXPECT_EQ(agg.singleflight_hits, sum.singleflight_hits);
+  EXPECT_EQ(agg.singleflight_bytes_saved, sum.singleflight_bytes_saved);
+  EXPECT_EQ(agg.flushes, sum.flushes);
+  EXPECT_EQ(agg.prefetch_reads, sum.prefetch_reads);
+  EXPECT_EQ(agg.prefetch_dropped, sum.prefetch_dropped);
+  EXPECT_EQ(agg.prefetch_promoted, sum.prefetch_promoted);
+  EXPECT_EQ(agg.background_reads, sum.background_reads);
+  EXPECT_EQ(agg.background_parked, sum.background_parked);
+  EXPECT_EQ(agg.background_promoted, sum.background_promoted);
+  EXPECT_EQ(agg.deadline_expired, sum.deadline_expired);
+  EXPECT_EQ(agg.hedges_issued, sum.hedges_issued);
+  EXPECT_EQ(agg.hedges_won, sum.hedges_won);
+  EXPECT_EQ(agg.replica_hedges, sum.replica_hedges);
+  EXPECT_GT(agg.replica_hedges, 0u);
+}
+
 TEST(SelfHealing, ReplicationHotExtentsKnobCapsExtentsPerTransition) {
   TuningConfig one;
   one.replication_hot_extents = 1;

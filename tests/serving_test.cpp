@@ -480,7 +480,7 @@ TEST(Disaggregated, InstantFabricByteIdenticalToMultiTenantRunShared) {
     EXPECT_EQ(rc.hosts[i].run.queries_served, rm.tenants[i].run.queries_served);
     EXPECT_EQ(rc.hosts[i].run.queries_completed, rm.tenants[i].run.queries_completed);
     EXPECT_EQ(rc.hosts[i].run.p99.nanos(), rm.tenants[i].run.p99.nanos());
-    EXPECT_EQ(rc.hosts[i].share.cross_tenant_hits, rm.tenants[i].cross_tenant_hits);
+    EXPECT_EQ(rc.hosts[i].share.cross_tenant_hits, rm.tenants[i].share.cross_tenant_hits);
   }
   // The instant fabric recorded the traffic it did NOT delay.
   EXPECT_EQ(rc.fabric.responses, rc.sm_device_reads);

@@ -218,6 +218,10 @@ void ExpectReportsEqual(const DisaggregatedRunReport& a,
     EXPECT_EQ(x.replica_reads, y.replica_reads);
     EXPECT_EQ(x.read_repairs, y.read_repairs);
     EXPECT_EQ(x.extents_replicated, y.extents_replicated);
+    EXPECT_EQ(x.io_retries, y.io_retries);
+    EXPECT_EQ(x.lookups_shed, y.lookups_shed);
+    EXPECT_EQ(x.prefetch_issued, y.prefetch_issued);
+    EXPECT_EQ(x.avg_cpu_per_query.nanos(), y.avg_cpu_per_query.nanos());
     EXPECT_EQ(a.hosts[i].share.demand_reads, b.hosts[i].share.demand_reads);
     EXPECT_EQ(a.hosts[i].share.demand_bytes, b.hosts[i].share.demand_bytes);
     EXPECT_EQ(a.hosts[i].share.cross_tenant_hits,

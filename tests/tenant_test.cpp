@@ -13,6 +13,7 @@
 #include "core/model_updater.h"
 #include "core/sdm_store.h"
 #include "dlrm/model_zoo.h"
+#include "fault/fault_injector.h"
 #include "tenant/multi_tenant_host.h"
 #include "tenant/shared_device_service.h"
 #include "tenant/tenant.h"
@@ -594,15 +595,44 @@ TEST(MultiTenantShared, RunsShardsOnOneDeviceStackAndReports) {
   // The background tenant's demand rode the background lane; foreground
   // tenants rode the demand lane.
   EXPECT_EQ(r.tenants[1].cls, TenantClass::kBackground);
-  EXPECT_GT(r.tenants[1].bg_lane_bytes, 0u);
-  EXPECT_EQ(r.tenants[1].fg_lane_bytes, 0u);
-  EXPECT_GT(r.tenants[0].fg_lane_bytes, 0u);
-  EXPECT_EQ(r.tenants[0].bg_lane_bytes, 0u);
+  EXPECT_GT(r.tenants[1].share.background_bytes, 0u);
+  EXPECT_EQ(r.tenants[1].share.demand_bytes, 0u);
+  EXPECT_GT(r.tenants[0].share.demand_bytes, 0u);
+  EXPECT_EQ(r.tenants[0].share.background_bytes, 0u);
   EXPECT_GT(r.io.background_reads, 0u);
   EXPECT_GT(r.sm_device_reads, 0u);
   EXPECT_FALSE(r.Summary().empty());
   // The whole point of §5.3: the tenant set would NOT fit in FM without SM.
   EXPECT_FALSE(r.fits_in_fm);
+}
+
+TEST(MultiTenantShared, TenantReportsCarryShardCountersUnderErrorBurst) {
+  // Shard-owned report fields are filled on a shared stack too: each
+  // tenant's retries are its own lookup engine's, and its CPU per query is
+  // its lookup + dense CPU.
+  MultiTenantHost host(TenantHostConfig(), 77, /*shared_device=*/true);
+  ASSERT_TRUE(host.AddTenant(MakeTinyUniformModel(64, 2, 1, 40'000), 4 * kMiB).ok());
+  ASSERT_TRUE(host.AddTenant(MakeTinyUniformModel(64, 3, 1, 30'000), 4 * kMiB).ok());
+  FaultPlan plan;
+  plan.ErrorBurst(SimTime(0), SimTime(0) + Seconds(60), /*probability=*/0.2);
+  FaultInjector injector(plan, host.service()->loop(), /*seed=*/9);
+  host.service()->InstallFaultInjector(&injector);
+
+  std::vector<uint64_t> retries0;
+  for (size_t i = 0; i < host.tenant_count(); ++i) {
+    retries0.push_back(host.tenant_engine(i).lookups().stats().CounterValue("io_retries"));
+  }
+  const MultiTenantReport r = host.Run(/*qps_per_tenant=*/200, /*queries=*/400);
+  ASSERT_EQ(r.tenants.size(), 2u);
+  for (size_t i = 0; i < r.tenants.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "tenant " << i);
+    const HostRunReport& run = r.tenants[i].run;
+    EXPECT_GT(run.io_retries, 0u);
+    EXPECT_EQ(run.io_retries,
+              host.tenant_engine(i).lookups().stats().CounterValue("io_retries") - retries0[i]);
+    EXPECT_GT(run.avg_cpu_per_query.nanos(), 0);
+    EXPECT_GT(run.cpu_qps_bound, 0);
+  }
 }
 
 TEST(MultiTenantShared, IsolatedModeStillWorks) {
@@ -627,10 +657,10 @@ TEST(MultiTenant, TenantReportSummaryIsPinned) {
   t.run.p95 = Millis(2.5);
   t.run.p99 = Millis(4);
   t.run.row_cache_hit_rate = 0.5;
-  t.singleflight_hits = 12;
-  t.cross_tenant_hits = 7;
-  t.fg_lane_bytes = 0;
-  t.bg_lane_bytes = 96 * kKiB;
+  t.share.singleflight_hits = 12;
+  t.share.cross_tenant_hits = 7;
+  t.share.demand_bytes = 0;
+  t.share.background_bytes = 96 * kKiB;
   t.throttle_queue_time = Micros(250);
   EXPECT_EQ(t.Summary(),
             "rm1 [background] qps=200/200 p95=2.50ms p99=4.00ms hit=50.0% sf=12 "
