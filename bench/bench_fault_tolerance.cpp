@@ -26,7 +26,6 @@
 // bench/baselines/fault.json.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "bench_util.h"
@@ -94,6 +93,13 @@ struct LegResult {
   uint64_t rows_failed = 0;
 };
 
+/// Fatal unless `st` is ok: a bench leg that cannot set up measures nothing.
+void MustOk(const Status& st, const char* what) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s: %s\n", what, st.ToString().c_str());
+  std::exit(1);
+}
+
 /// Writes an export artifact; fatal on failure so CI never uploads an
 /// empty file silently.
 void WriteDoc(const std::string& path, const std::string& doc) {
@@ -113,7 +119,6 @@ void WriteDoc(const std::string& path, const std::string& doc) {
 /// storm does not move a single counter.
 LegResult RunStorm(bool responses, const std::string* trace_out = nullptr) {
   DisaggregatedConfig dc;
-  dc.enabled = true;
   HostSimConfig cfg = StormHostConfig(responses);
   if (trace_out != nullptr) {
     cfg.tuning.obs.enable_metrics = true;
@@ -134,14 +139,10 @@ LegResult RunStorm(bool responses, const std::string* trace_out = nullptr) {
     cfg.tuning.obs.slo_rules = {p99, degraded};
   }
   ClusterSimulation cluster(kHosts, cfg, RoutingPolicy::kLocal, dc);
-  Status st = cluster.LoadModel(StormModel());
-  if (!st.ok()) {
-    std::fprintf(stderr, "LoadModel: %s\n", st.ToString().c_str());
-    std::exit(1);
-  }
-  EventLoop* loop = cluster.host_store(0).loop();
-  FaultInjector injector(StormPlan(loop->Now()), loop, /*seed=*/2024);
-  cluster.fabric_service()->InstallFaultInjector(&injector);
+  MustOk(cluster.LoadModel(StormModel()), "LoadModel");
+  MustOk(cluster.InstallFaultPlan(StormPlan(cluster.host_store(0).loop()->Now()),
+                                  /*seed=*/2024),
+         "InstallFaultPlan");
 
   LegResult leg;
   leg.report = cluster.RunDisaggregated(kTotalQps, kStormQueries);
@@ -188,11 +189,7 @@ HostRunReport RunTailLeg(bool hedge) {
     cfg.tuning.hedge_min_samples = 64;
   }
   HostSimulation sim(cfg);
-  Status st = sim.LoadModel(MakeTinyUniformModel(16, 2, 1, 2000));
-  if (!st.ok()) {
-    std::fprintf(stderr, "LoadModel: %s\n", st.ToString().c_str());
-    std::exit(1);
-  }
+  MustOk(sim.LoadModel(MakeTinyUniformModel(16, 2, 1, 2000)), "LoadModel");
   return sim.Run(200, 2000);
 }
 
@@ -226,11 +223,7 @@ HostRunReport RunHealLeg(bool heal) {
     cfg.tuning.enable_replication = true;
   }
   HostSimulation sim(cfg);
-  Status st = sim.LoadModel(MakeTinyUniformModel(16, 2, 1, 2000));
-  if (!st.ok()) {
-    std::fprintf(stderr, "LoadModel: %s\n", st.ToString().c_str());
-    std::exit(1);
-  }
+  MustOk(sim.LoadModel(MakeTinyUniformModel(16, 2, 1, 2000)), "LoadModel");
   const SimTime t0 = sim.loop().Now();
   FaultPlan plan;
   plan.ErrorBurst(t0 + Millis(500), t0 + Millis(1000), /*probability=*/1.0,
@@ -247,19 +240,11 @@ HostRunReport RunHealLeg(bool heal) {
 /// summary concatenated — the byte-identity comparator.
 std::string FaultFreeFingerprint(bool install_empty) {
   DisaggregatedConfig dc;
-  dc.enabled = true;
   ClusterSimulation cluster(kHosts, StormHostConfig(/*responses=*/true),
                             RoutingPolicy::kLocal, dc);
-  Status st = cluster.LoadModel(StormModel());
-  if (!st.ok()) {
-    std::fprintf(stderr, "LoadModel: %s\n", st.ToString().c_str());
-    std::exit(1);
-  }
-  std::unique_ptr<FaultInjector> injector;
+  MustOk(cluster.LoadModel(StormModel()), "LoadModel");
   if (install_empty) {
-    injector = std::make_unique<FaultInjector>(
-        FaultPlan(), cluster.host_store(0).loop(), /*seed=*/99);
-    cluster.fabric_service()->InstallFaultInjector(injector.get());
+    MustOk(cluster.InstallFaultPlan(FaultPlan(), /*seed=*/99), "InstallFaultPlan");
   }
   const DisaggregatedRunReport r =
       cluster.RunDisaggregated(kTotalQps, kStormQueries / 4);

@@ -13,10 +13,10 @@
 // The paper's scale-out column is an ANALYTIC penalty (ScaleOutModel:
 // rtt + helper service on every remote fetch). The disaggregated sweep
 // below measures the real thing: N hosts share ONE fabric-attached SM
-// stack (FabricAttachedService), so replicas of the model dedup to one
-// extent set and the hosts single-flight each other's hot blocks — versus
-// the local-SM baseline where every host runs a private stack and pays for
-// its hot set alone.
+// stack (ClusterSimulation), so replicas of the model dedup to one extent
+// set and the hosts single-flight each other's hot blocks — versus the
+// local-SM baseline (MultiTenantHost's isolated mode) where every host runs
+// a private stack and pays for its hot set alone.
 //
 // Headline --json metrics (gated in CI against bench/baselines/
 // scaleout.json):
@@ -176,7 +176,6 @@ DisaggPoint RunDisagg(int hosts, SimDuration rtt, double qps_per_host,
   base.tuning.fabric_bandwidth_bytes_per_sec = 25e9;
   base.tuning.fabric_queueing = true;
   DisaggregatedConfig dc;
-  dc.enabled = true;
   ClusterSimulation cluster(hosts, base, RoutingPolicy::kUserSticky, dc);
   if (Status s = cluster.LoadModel(DisaggModel()); !s.ok()) {
     std::fprintf(stderr, "disaggregated load failed: %s\n", s.ToString().c_str());
@@ -208,7 +207,6 @@ ShardedPoint RunDisaggSharded(int hosts, SimDuration rtt, double qps_per_host,
   base.tuning.fabric_bandwidth_bytes_per_sec = 25e9;
   base.tuning.fabric_queueing = true;
   DisaggregatedConfig dc;
-  dc.enabled = true;
   dc.num_shards = num_shards;
   ClusterSimulation cluster(hosts, base, RoutingPolicy::kUserSticky, dc);
   if (Status s = cluster.LoadModel(DisaggModel()); !s.ok()) {

@@ -91,7 +91,6 @@ class ShardedRuntime {
   size_t AddProcess();
 
   [[nodiscard]] size_t process_count() const { return lps_.size(); }
-  [[nodiscard]] size_t num_workers() const { return num_workers_; }
   [[nodiscard]] EventLoop& loop(size_t lp) { return lps_[lp]->loop; }
 
   /// Cross-LP send: schedules `fn` on `to`'s loop at absolute time `at`.

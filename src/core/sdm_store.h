@@ -134,7 +134,6 @@ class SdmStore {
 
   [[nodiscard]] size_t table_count() const { return tables_.size(); }
   [[nodiscard]] const TableRuntime& table(TableId id) const { return tables_[Raw(id)]; }
-  [[nodiscard]] TableRuntime& mutable_table(TableId id) { return tables_[Raw(id)]; }
 
   // ---- Components ----------------------------------------------------------
 

@@ -44,7 +44,6 @@ class WearTracker {
   [[nodiscard]] double UpdateIntervalPaperFormulaDays(Bytes model_size) const;
 
   [[nodiscard]] double dwpd() const { return dwpd_; }
-  [[nodiscard]] Bytes rated_capacity() const { return rated_capacity_; }
 
  private:
   Bytes rated_capacity_;

@@ -25,6 +25,10 @@
 
 namespace sdm {
 
+/// Fabric payload of one SQE crossing in a doorbell message (a 64B NVMe
+/// submission queue entry; NVMe-oF capsules carry exactly these).
+inline constexpr Bytes kFabricSqeBytes = 64;
+
 struct FabricLinkConfig {
   /// One-way propagation latency per direction.
   SimDuration latency{0};

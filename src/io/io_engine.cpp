@@ -11,14 +11,6 @@
 
 namespace sdm {
 
-namespace {
-
-/// Fabric payload of one SQE crossing in a doorbell message (a 64B NVMe
-/// submission queue entry; NVMe-oF capsules carry exactly these).
-constexpr Bytes kFabricSqeBytes = 64;
-
-}  // namespace
-
 IoEngine::IoEngine(NvmeDevice* device, EventLoop* loop, IoEngineConfig config)
     : device_(device), loop_(loop), config_(config) {
   assert(device != nullptr);

@@ -305,9 +305,8 @@ class BatchScheduler {
   [[nodiscard]] CrossRequestIoStats Snapshot() const;
 
   /// Fair-share ledger of one tenant (zeroes for a tenant this scheduler
-  /// has not seen). `tenant_span` is 1 + the highest tenant id seen.
+  /// has not seen).
   [[nodiscard]] TenantIoShare tenant_share(uint32_t tenant) const;
-  [[nodiscard]] size_t tenant_span() const { return tenant_shares_.size(); }
 
   /// Mean SQEs per ring doorbell — the amortization the paper's io_uring
   /// deployment lives on (§4).

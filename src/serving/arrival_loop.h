@@ -3,8 +3,8 @@
 //
 // Its users differ only in how many participants they pass and in the
 // routing hook:
-//   - HostSimulation::Run / RunUsers: one participant (a host serving its
-//     own Poisson stream);
+//   - HostSimulation::Run: one participant (a host serving its own Poisson
+//     stream);
 //   - MultiTenantHost::RunShared: one participant per tenant, identity
 //     route, so concurrent tenants' reads meet in the shared
 //     BatchSchedulers;

@@ -37,52 +37,40 @@ size_t StickyRouter::Route(UserId user) const {
 }
 
 ClusterSimulation::ClusterSimulation(size_t num_hosts, const HostSimConfig& host_config,
-                                     RoutingPolicy policy)
-    : ClusterSimulation(num_hosts, host_config, policy, DisaggregatedConfig{}) {}
-
-ClusterSimulation::ClusterSimulation(size_t num_hosts, const HostSimConfig& host_config,
                                      RoutingPolicy policy,
                                      const DisaggregatedConfig& disaggregated)
-    : base_config_(host_config), router_(num_hosts, policy, host_config.seed ^ 0xc1u) {
+    : base_config_(host_config),
+      enabled_(disaggregated.enabled),
+      router_(num_hosts, policy, host_config.seed ^ 0xc1u) {
   assert(num_hosts >= 1);
-  if (disaggregated.enabled && disaggregated.num_shards >= 2) {
+  if (disaggregated.num_shards >= 2) {
     // Parallel runtime: host shards + device shard on worker threads.
     sharded_ = std::make_unique<ShardedClusterRuntime>(num_hosts, host_config, policy,
                                                        disaggregated.num_shards);
     return;
   }
-  if (!disaggregated.enabled) {
-    hosts_.reserve(num_hosts);
-    for (size_t i = 0; i < num_hosts; ++i) {
-      HostSimConfig cfg = host_config;
-      cfg.seed = FleetHostSeed(host_config.seed, i);
-      hosts_.push_back(std::make_unique<HostSimulation>(cfg));
-    }
-    return;
-  }
 
-  // ---- Disaggregated: one fabric-attached device stack for all hosts ----
-  FabricServiceConfig fcfg;
-  for (const auto& ssd : base_config_.host.ssds) {
-    fcfg.device.sm_specs.push_back(ssd);
-    fcfg.device.sm_backing_bytes.push_back(base_config_.sm_backing_per_device);
-  }
-  fcfg.device.tuning = base_config_.tuning;
-  fcfg.device.seed = base_config_.seed;
-  fcfg.link.latency = base_config_.tuning.fabric_latency;
-  fcfg.link.bandwidth_bytes_per_sec = base_config_.tuning.fabric_bandwidth_bytes_per_sec;
-  fcfg.link.queueing = base_config_.tuning.fabric_queueing;
+  // ---- Single loop: one device stack behind one fabric port per device ----
+  SharedDeviceConfig dcfg = DeviceStackConfig(base_config_, base_config_.seed);
   if (base_config_.tuning.obs.enabled()) {
     // One instance for the whole single-loop cluster; the shared device
     // stack records under "svc/", host i's store under "host<i>/".
     obs_ = std::make_unique<Observability>(base_config_.tuning.obs);
-    fcfg.device.obs = obs_.get();
-    fcfg.device.obs_prefix = "svc/";
+    dcfg.obs = obs_.get();
+    dcfg.obs_prefix = "svc/";
   }
-  fabric_ = std::make_unique<FabricAttachedService>(std::move(fcfg), &dloop_);
-  dhosts_.resize(num_hosts);
+  stack_ = std::make_unique<SharedDeviceService>(std::move(dcfg), &loop_);
+  const FabricLinkConfig lcfg = FabricLinkFor(base_config_.tuning);
+  links_.reserve(stack_->device_count());
+  for (size_t d = 0; d < stack_->device_count(); ++d) {
+    links_.push_back(std::make_unique<FabricLink>(lcfg, &loop_));
+    stack_->io_engine(d).set_fabric_link(links_.back().get());
+    if (obs_ != nullptr) links_.back()->set_obs(obs_.get(), "svc/dev" + std::to_string(d) + "/");
+  }
+  hosts_.resize(num_hosts);
   for (size_t i = 0; i < num_hosts; ++i) {
-    const TenantId id = fabric_->AttachHost("host-" + std::to_string(i));
+    const TenantId id =
+        stack_->RegisterTenant("host-" + std::to_string(i), TenantClass::kForeground);
     assert(id == i);
     (void)id;
   }
@@ -91,13 +79,16 @@ ClusterSimulation::ClusterSimulation(size_t num_hosts, const HostSimConfig& host
 ClusterSimulation::~ClusterSimulation() = default;
 
 size_t ClusterSimulation::size() const {
-  if (sharded_ != nullptr) return sharded_->host_count();
-  return disaggregated() ? dhosts_.size() : hosts_.size();
+  return sharded_ != nullptr ? sharded_->host_count() : hosts_.size();
 }
 
 SdmStore& ClusterSimulation::host_store(size_t i) {
   if (sharded_ != nullptr) return sharded_->host_store(i);
-  return *dhosts_[i].store;
+  return *hosts_[i].store;
+}
+
+SharedDeviceService& ClusterSimulation::device_stack() {
+  return sharded_ != nullptr ? sharded_->device_stack() : *stack_;
 }
 
 size_t ClusterSimulation::RouteTarget(size_t source, UserId user) const {
@@ -106,106 +97,74 @@ size_t ClusterSimulation::RouteTarget(size_t source, UserId user) const {
 }
 
 Status ClusterSimulation::LoadModel(const ModelConfig& model) {
-  if (sharded_ != nullptr) return sharded_->LoadModel(model);
-  if (!disaggregated()) {
-    for (auto& h : hosts_) {
-      if (Status s = h->LoadModel(model); !s.ok()) return s;
-    }
-    return Status::Ok();
+  if (!enabled_) {
+    return FailedPreconditionError(
+        "a cluster is always disaggregated; use MultiTenantHost's isolated mode for "
+        "hosts with private SM");
   }
-
-  // ---- Disaggregated: each host is a shard on the fabric service ----
+  if (sharded_ != nullptr) return sharded_->LoadModel(model);
   if (Status s = base_config_.tuning.ValidateForDisaggregated(); !s.ok()) return s;
-  if (fabric_->device_service().device_count() == 0) {
+  if (stack_->device_count() == 0) {
     return FailedPreconditionError("disaggregated cluster needs a host spec with SSDs");
   }
-  if (!dhosts_.empty() && dhosts_[0].store != nullptr) {
-    return FailedPreconditionError("model already loaded");
-  }
-  for (size_t i = 0; i < dhosts_.size(); ++i) {
+  if (hosts_[0].store != nullptr) return FailedPreconditionError("model already loaded");
+  for (size_t i = 0; i < hosts_.size(); ++i) {
     ShardSpec spec = DisaggregatedHostSpec(base_config_, i, obs_.get());
-    spec.shared_device = &fabric_->device_service();
+    spec.shared_device = stack_.get();
     spec.tenant_id = static_cast<TenantId>(i);
-    auto shard = BuildServingShard(base_config_, model, spec, &dloop_);
+    auto shard = BuildServingShard(base_config_, model, spec, &loop_);
     if (!shard.ok()) return shard.status();
-    dhosts_[i] = std::move(shard).value();
+    hosts_[i] = std::move(shard).value();
   }
   return Status::Ok();
 }
 
-ClusterRunReport ClusterSimulation::Run(double total_qps, uint64_t num_queries) {
-  assert(!disaggregated());
-  if (disaggregated()) return {};  // wrong-mode call: fail empty, not UB
-  // Partition a global user stream by the router. Each host then serves its
-  // sub-population at its share of the global rate. Hosts run on separate
-  // event loops (they do not interact beyond routing), so running them
-  // sequentially is exact.
-  std::vector<std::vector<UserId>> per_host_users(hosts_.size());
-  // Reuse the first host's generator distributions to draw the user stream.
-  QueryGenerator& reference = hosts_[0]->workload();
-  for (uint64_t i = 0; i < num_queries; ++i) {
-    const Query q = reference.Next();  // draws a popularity-weighted user
-    per_host_users[RouteTarget(i, q.user)].push_back(q.user);
+Status ClusterSimulation::InstallFaultPlan(const FaultPlan& plan, uint64_t seed) {
+  if (sharded_ != nullptr) return sharded_->InstallFaultPlan(plan, seed);
+  // One injector on the one loop serves the devices and every link; the
+  // previous one is released only after nothing points at it.
+  auto injector = std::make_unique<FaultInjector>(plan, &loop_, seed);
+  stack_->InstallFaultInjector(injector.get());
+  for (size_t d = 0; d < links_.size(); ++d) {
+    links_[d]->set_fault_injector(injector.get(), static_cast<int>(d));
   }
+  injector_ = std::move(injector);
+  return Status::Ok();
+}
 
-  ClusterRunReport report;
-  report.hosts.reserve(hosts_.size());
-  double hit_weighted = 0;
-  uint64_t served_total = 0;
-  for (size_t h = 0; h < hosts_.size(); ++h) {
-    HostSimulation& host = *hosts_[h];
-    const auto& users = per_host_users[h];
-    if (users.empty()) {
-      // Idle host: default report, distinguishable by queries_served == 0.
-      report.hosts.push_back(HostRunReport{});
-      continue;
-    }
-    // Serve this host's routed queries at the proportional rate by feeding
-    // the exact user sequence through the host's own engine.
-    const double host_qps =
-        total_qps * static_cast<double>(users.size()) / static_cast<double>(num_queries);
-    HostRunReport r = host.RunUsers(users, host_qps);
-    hit_weighted += r.row_cache_hit_rate * static_cast<double>(r.queries_served);
-    served_total += r.queries_served;
-    report.aggregate_qps += r.achieved_qps;
-    report.hosts.push_back(std::move(r));
-  }
-  // Weight by served queries: idle hosts must not deflate the mean, and a
-  // host serving most of the traffic should dominate it.
-  report.mean_hit_rate =
-      served_total == 0 ? 0 : hit_weighted / static_cast<double>(served_total);
-  return report;
+FabricLinkStats ClusterSimulation::FabricTotals() const {
+  FabricLinkStats totals;
+  for (const auto& link : links_) totals += link->stats();
+  return totals;
 }
 
 DisaggregatedRunReport ClusterSimulation::RunDisaggregated(double total_qps,
                                                            uint64_t num_queries) {
-  assert(disaggregated());
   assert(total_qps > 0);
   if (sharded_ != nullptr) return sharded_->Run(total_qps, num_queries);
-  if (dhosts_.empty() || dhosts_[0].store == nullptr) return {};
-  const size_t n = dhosts_.size();
+  if (hosts_[0].store == nullptr) return {};
+  const size_t n = hosts_.size();
   const double qps_each = total_qps / static_cast<double>(n);
   const uint64_t queries_each = num_queries / n;
-  SharedDeviceService& service = fabric_->device_service();
 
   std::vector<RunMeter> meters;
   std::vector<ArrivalParticipant> participants;
   meters.reserve(n);
   participants.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    meters.emplace_back(dhosts_[i]);
+    meters.emplace_back(hosts_[i]);
     participants.push_back(
-        dhosts_[i].Participant(ArrivalSeed(FleetHostSeed(base_config_.seed, i))));
+        hosts_[i].Participant(ArrivalSeed(FleetHostSeed(base_config_.seed, i))));
   }
-  const StackCounters stack0 = StackCounters::Of(service);
-  const FabricLinkStats fab0 = fabric_->fabric_stats();
+  const StackCounters stack0 = StackCounters::Of(*stack_);
+  const FabricLinkStats fab0 = FabricTotals();
 
   // ---- Interleave every host's arrivals; the router redistributes ----
-  const SimTime t_begin = dloop_.Now();
+  const SimTime t_begin = loop_.Now();
   const std::vector<ArrivalStats> states = RunInterleavedArrivals(
-      dloop_, participants, qps_each, queries_each,
+      loop_, participants, qps_each, queries_each,
       [this](size_t source, const Query& q) { return RouteTarget(source, q.user); });
-  const SimDuration span = dloop_.Now() - t_begin;
+  const SimDuration span = loop_.Now() - t_begin;
 
   std::vector<DisaggregatedHostReport> hosts(n);
   Bytes sm_logical = 0;
@@ -213,11 +172,11 @@ DisaggregatedRunReport ClusterSimulation::RunDisaggregated(double total_qps,
     hosts[i].run = meters[i].Report(states[i], qps_each, span);
     hosts[i].share = meters[i].share();
     hosts[i].throttle_queue_time = meters[i].throttle_queue_time();
-    sm_logical += dhosts_[i].store->sm_used_bytes();
+    sm_logical += hosts_[i].store->sm_used_bytes();
   }
-  return FoldDisaggregatedRun(std::move(hosts), sm_logical, service.sm_used_bytes(),
-                              StackCounters::Of(service).Since(stack0),
-                              fabric_->fabric_stats().Since(fab0));
+  return FoldDisaggregatedRun(std::move(hosts), sm_logical, stack_->sm_used_bytes(),
+                              StackCounters::Of(*stack_).Since(stack0),
+                              FabricTotals().Since(fab0));
 }
 
 DisaggregatedRunReport FoldDisaggregatedRun(std::vector<DisaggregatedHostReport> hosts,

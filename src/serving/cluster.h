@@ -1,29 +1,30 @@
-// Fleet-level composition: sticky routing, scale-out, multi-tenancy,
-// disaggregated SM.
+// Fleet-level composition: sticky routing, disaggregated SM, scale-out.
 //
-// - StickyRouter / ClusterSimulation: queries route user->host by hash, so
-//   each host sees a stable user sub-population and higher per-host
-//   temporal locality than the global trace (paper Fig. 4c). Random
-//   routing is available as the baseline.
-// - Disaggregated mode (src/fabric): instead of per-host private SM, all
-//   hosts' stores attach to ONE FabricAttachedService — a shared device
-//   stack behind a configurable fabric hop — and RunDisaggregated
-//   interleaves every host's arrivals on one EventLoop so cross-HOST
-//   single-flight of shared hot blocks is actually exercised (the
-//   measured counterpart of the analytic ScaleOutModel below).
+// - StickyRouter: queries route user->host by hash, so each host sees a
+//   stable user sub-population and higher per-host temporal locality than
+//   the global trace (paper Fig. 4c). Random routing is the baseline.
+// - ClusterSimulation: the disaggregated cluster. Every host is a real
+//   serving shard whose store attaches to ONE shared device stack behind a
+//   fabric hop (src/fabric), and RunDisaggregated interleaves every host's
+//   arrivals so cross-HOST single-flight of shared hot blocks is actually
+//   exercised (the measured counterpart of the analytic ScaleOutModel
+//   below). Two schedules take the same calls: one EventLoop, or the
+//   sharded parallel runtime (src/serving/sharded_cluster.h).
 // - ScaleOutModel: analytic latency/power for the (Lui et al.) sharded
 //   alternative SDM competes against in §5.2.
 // - MultiTenantHost (src/tenant/multi_tenant_host.h, re-exported here):
 //   co-locates several models on one simulated host — as isolated stores,
 //   or as real shards on a SharedDeviceService — to exercise the §5.3
-//   capacity argument.
+//   capacity argument. Its isolated mode is also the fleet of hosts with
+//   private local SM that the disaggregated cluster is measured against.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "fabric/fabric_attached_service.h"
+#include "fabric/fabric_link.h"
+#include "fault/fault_injector.h"
 #include "serving/host.h"
 #include "serving/power_model.h"
 #include "serving/run_meter.h"
@@ -34,9 +35,8 @@ namespace sdm {
 enum class RoutingPolicy : uint8_t {
   kUserSticky,  ///< consistent hash of the user id (Fig. 4c affinity)
   kRandom,      ///< per-query draw (the no-affinity baseline)
-  /// No redistribution: an arrival is served where it lands (round-robin
-  /// partition in isolated Run; the drawing frontend in RunDisaggregated).
-  /// This is the shared-nothing baseline sticky routing is measured
+  /// No redistribution: an arrival is served by the host whose frontend
+  /// drew it. This is the shared-nothing baseline sticky routing is measured
   /// against, and — with an instant fabric — the configuration that is
   /// byte-identical to MultiTenantHost::RunShared.
   kLocal,
@@ -60,26 +60,19 @@ class StickyRouter {
   mutable Rng rng_;  ///< used by kRandom only; never drawn on the hash path
 };
 
-struct ClusterRunReport {
-  std::vector<HostRunReport> hosts;
-  /// Mean row-cache hit rate weighted by each host's served queries (idle
-  /// hosts contribute nothing instead of deflating the mean).
-  double mean_hit_rate = 0;
-  double aggregate_qps = 0;
-};
-
-/// Builds the cluster's hosts as shards of one fabric-attached device
-/// stack instead of per-host private SM (see file header). Fabric shape
+/// How the disaggregated cluster runs (see file header). Fabric shape
 /// (latency / bandwidth / queueing) comes from the host config's
 /// TuningConfig fabric knobs.
 struct DisaggregatedConfig {
-  bool enabled = false;
+  /// Always true for a servable cluster: LoadModel fails when it is false.
+  /// Kept only for callers that still set it; it goes away with them.
+  bool enabled = true;
   /// Worker threads for the sharded parallel runtime
   /// (src/serving/sharded_cluster.h): each host shard and the device shard
   /// become logical processes with private EventLoops, synchronized by
-  /// conservative windows of one fabric latency. 0/1 keeps today's
-  /// single-loop path (byte-identical, required for instant fabrics);
-  /// >= 2 requires fabric_latency > 0 and produces results that are
+  /// conservative windows of one fabric latency. 0/1 runs every host on one
+  /// EventLoop (byte-identical, required for instant fabrics); >= 2
+  /// requires fabric_latency > 0 and produces results that are
   /// bit-identical across every num_shards >= 2.
   size_t num_shards = 1;
 };
@@ -97,12 +90,14 @@ struct DisaggregatedHostReport {
   /// bus bytes owned, and single-flight hits served by reads OTHER hosts
   /// paid for (`share.cross_tenant_hits` reads as cross-HOST hits).
   TenantIoShare share;
-  SimDuration throttle_queue_time;  ///< virtual time queued for IO slots
+  SimDuration throttle_queue_time;  ///< virtual time queued for IO slots, this run only
 };
 
 struct DisaggregatedRunReport {
   std::vector<DisaggregatedHostReport> hosts;
-  double mean_hit_rate = 0;  ///< served-query weighted, like ClusterRunReport
+  /// Mean row-cache hit rate weighted by each host's served queries (idle
+  /// hosts contribute nothing instead of deflating the mean).
+  double mean_hit_rate = 0;
   double aggregate_qps = 0;
   // ---- Shared device stack, this run only ----
   uint64_t sm_device_reads = 0;  ///< physical device reads
@@ -133,62 +128,53 @@ struct DisaggregatedRunReport {
     std::vector<DisaggregatedHostReport> hosts, Bytes sm_logical_bytes, Bytes sm_unique_bytes,
     const StackCounters& stack, const FabricLinkStats& fabric);
 
-/// A small fleet of identical hosts used to demonstrate routing effects:
-/// every host loads the same model; a global user stream is partitioned by
-/// the router; each host then serves its share.
+/// A fleet of identical hosts sharing one fabric-attached device stack.
+/// Every host loads the same model as a real serving shard (SdmStore +
+/// InferenceEngine + workload) attached to the stack as tenant "host-<i>";
+/// RunDisaggregated draws each host's Poisson arrivals and lets the router
+/// decide which host's engine each arrival enters. Seeds derive exactly
+/// like MultiTenantHost's shared mode, so an instant fabric with kLocal
+/// routing is byte-identical to RunShared with the same stores.
 ///
-/// Two SM attachments:
-///  - isolated (default): each host is a full HostSimulation with private
-///    devices; Run() replays the routed stream per host (exact — hosts
-///    share nothing).
-///  - disaggregated (DisaggregatedConfig::enabled): hosts are real shards
-///    — SdmStore + InferenceEngine + workload on ONE EventLoop — attached
-///    to one FabricAttachedService, and RunDisaggregated interleaves all
-///    hosts' Poisson arrivals with the router deciding which host's engine
-///    each arrival enters. Seeds derive exactly like MultiTenantHost's
-///    shared mode, so an instant fabric with kLocal routing is
-///    byte-identical to RunShared with the same stores.
+/// Two schedules take the same calls. num_shards <= 1 runs the stack, one
+/// FabricLink per device port and every host on one EventLoop; >= 2 runs
+/// them as logical processes of a ShardedClusterRuntime.
 class ShardedClusterRuntime;
 
 class ClusterSimulation {
  public:
   ClusterSimulation(size_t num_hosts, const HostSimConfig& host_config,
-                    RoutingPolicy policy);
-  ClusterSimulation(size_t num_hosts, const HostSimConfig& host_config,
                     RoutingPolicy policy, const DisaggregatedConfig& disaggregated);
   ~ClusterSimulation();
 
+  /// Builds and loads every host's shard. Fails on a disabled config, a
+  /// host spec without SSDs, or tuning the shared stack cannot run.
   Status LoadModel(const ModelConfig& model);
 
-  /// Routes `num_queries` global arrivals and runs each host at its share
-  /// of `total_qps`. Isolated mode only.
-  [[nodiscard]] ClusterRunReport Run(double total_qps, uint64_t num_queries);
+  /// Installs a scripted fault plan (src/fault) on the whole cluster: media
+  /// faults on the devices, drop and partition windows on the fabric links.
+  /// Replaces any previously installed plan. The sharded runtime rejects
+  /// fabric-drop windows (see sharded_cluster.h).
+  Status InstallFaultPlan(const FaultPlan& plan, uint64_t seed);
 
   /// Interleaves every host's open-loop Poisson arrivals (total_qps and
-  /// num_queries split evenly) on the common loop against the shared
-  /// fabric-attached device stack. Disaggregated mode only.
+  /// num_queries split evenly) against the shared device stack. Callable
+  /// repeatedly (warmup then measure); caches stay warm, clocks carry over.
   [[nodiscard]] DisaggregatedRunReport RunDisaggregated(double total_qps,
                                                         uint64_t num_queries);
 
-  [[nodiscard]] bool disaggregated() const {
-    return fabric_ != nullptr || sharded_ != nullptr;
-  }
   [[nodiscard]] size_t size() const;
-  /// Isolated-mode host (undefined in disaggregated mode).
-  [[nodiscard]] HostSimulation& host(size_t i) { return *hosts_[i]; }
-  /// Disaggregated-mode accessors (null/undefined in isolated mode).
-  /// fabric_service() is the SINGLE-LOOP stack — null when the sharded
-  /// runtime is active (use sharded_runtime() there).
-  [[nodiscard]] FabricAttachedService* fabric_service() { return fabric_.get(); }
   [[nodiscard]] SdmStore& host_store(size_t i);
+  /// The shared device stack: the device shard's on the sharded runtime,
+  /// where it may be read only between runs.
+  [[nodiscard]] SharedDeviceService& device_stack();
   /// The parallel runtime behind num_shards >= 2 (null otherwise).
   [[nodiscard]] ShardedClusterRuntime* sharded_runtime() { return sharded_.get(); }
 
-  /// Observability exports (src/obs): non-empty iff tuning.obs.enabled().
-  /// Disaggregated modes export the whole cluster — the sharded runtime
-  /// merges its per-LP buffers into documents bit-identical across worker
-  /// counts. Isolated mode returns "{}": each host there owns a private
-  /// Observability (use host(i).ObsMetricsJson()).
+  /// Observability exports (src/obs): the whole cluster, "{}" when
+  /// tuning.obs is off. The device stack records under "svc/", host i under
+  /// "host<i>/"; the sharded runtime merges its per-LP buffers into
+  /// documents bit-identical across worker counts.
   [[nodiscard]] std::string ObsMetricsJson();
   [[nodiscard]] std::string ObsTraceJson();
   [[nodiscard]] std::string ObsSloJson();
@@ -197,16 +183,20 @@ class ClusterSimulation {
   /// Serving host of arrival `i` carrying `user` (kLocal short-circuits
   /// the router: arrivals stay where they land).
   [[nodiscard]] size_t RouteTarget(size_t source, UserId user) const;
+  /// Fabric traffic summed over the single loop's links.
+  [[nodiscard]] FabricLinkStats FabricTotals() const;
 
   HostSimConfig base_config_;
-  std::vector<std::unique_ptr<HostSimulation>> hosts_;  ///< isolated mode
+  bool enabled_;
   StickyRouter router_;
-  // ---- Disaggregated mode (src/fabric) ----
-  EventLoop dloop_;  ///< the one loop every host shard runs on
-  std::unique_ptr<Observability> obs_;  ///< single-loop mode; outlives the stacks
-  std::unique_ptr<FabricAttachedService> fabric_;
-  std::vector<ServingShard> dhosts_;  ///< host i is tenant i of fabric_
-  // ---- Sharded parallel mode (src/serving/sharded_cluster.h) ----
+  // ---- Single loop (num_shards <= 1) ----
+  EventLoop loop_;  ///< the one loop every host shard runs on
+  std::unique_ptr<Observability> obs_;  ///< outlives the stack
+  std::unique_ptr<FaultInjector> injector_;  ///< outlives the stack and links
+  std::unique_ptr<SharedDeviceService> stack_;
+  std::vector<std::unique_ptr<FabricLink>> links_;  ///< one per device port
+  std::vector<ServingShard> hosts_;  ///< host i is tenant i of stack_
+  // ---- Sharded parallel runtime (num_shards >= 2) ----
   std::unique_ptr<ShardedClusterRuntime> sharded_;
 };
 

@@ -104,20 +104,8 @@ void HostSimulation::Warmup(uint64_t n, double qps) {
 }
 
 HostRunReport HostSimulation::Run(double target_qps, uint64_t num_queries) {
-  return Serve(shard_.Participant(ArrivalSeed(config_.seed)), target_qps, num_queries);
-}
-
-HostRunReport HostSimulation::RunUsers(std::span<const UserId> users, double target_qps) {
-  ArrivalParticipant host = shard_.Participant(ArrivalSeed(config_.seed));
-  host.next_query = [workload = shard_.workload.get(), users, cursor = size_t{0}]() mutable {
-    return workload->ForUser(users[cursor++]);
-  };
-  return Serve(host, target_qps, users.size());
-}
-
-HostRunReport HostSimulation::Serve(const ArrivalParticipant& host, double target_qps,
-                                    uint64_t num_queries) {
   assert(shard_.store != nullptr);
+  const ArrivalParticipant host = shard_.Participant(ArrivalSeed(config_.seed));
   const RunMeter meter(shard_);
   const SimTime t_begin = loop_.Now();
   const std::vector<ArrivalStats> stats =

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -78,6 +77,9 @@ struct HostRunReport {
   double row_cache_hit_rate = 0;
   double pooled_hit_rate = 0;
   double sm_iops = 0;               ///< sustained IOs/sec against SM
+  /// Device bus bytes per useful byte since the device stack was built, NOT
+  /// this run only: amplification is a property of the layout, so warmup and
+  /// earlier runs count too. Stays 1 on a shard attached to a shared stack.
   double sm_read_amplification = 1;
   // ---- Cross-request batch scheduling (src/sched), this run only ----
   uint64_t cross_request_merges = 0;  ///< spans fused across concurrent queries
@@ -122,10 +124,6 @@ class HostSimulation {
   /// after a warmup run).
   [[nodiscard]] HostRunReport Run(double target_qps, uint64_t num_queries);
 
-  /// Like Run, but serves queries for an explicit user sequence (one query
-  /// per entry) — the cluster router uses this to replay a routed stream.
-  [[nodiscard]] HostRunReport RunUsers(std::span<const UserId> users, double target_qps);
-
   /// Convenience: warm the caches with `n` queries (no measurement).
   void Warmup(uint64_t n, double qps = 1000.0);
 
@@ -152,10 +150,6 @@ class HostSimulation {
                                   double qps_lo = 50, double qps_hi = 100000);
 
  private:
-  /// Serves `num_queries` arrivals of `host` (this host's shard) and reports.
-  [[nodiscard]] HostRunReport Serve(const ArrivalParticipant& host, double target_qps,
-                                    uint64_t num_queries);
-
   HostSimConfig config_;
   EventLoop loop_;
   std::unique_ptr<Observability> obs_;  ///< must outlive shard_

@@ -4,6 +4,25 @@
 
 namespace sdm {
 
+SharedDeviceConfig DeviceStackConfig(const HostSimConfig& host, uint64_t seed) {
+  SharedDeviceConfig cfg;
+  for (const auto& ssd : host.host.ssds) {
+    cfg.sm_specs.push_back(ssd);
+    cfg.sm_backing_bytes.push_back(host.sm_backing_per_device);
+  }
+  cfg.tuning = host.tuning;
+  cfg.seed = seed;
+  return cfg;
+}
+
+FabricLinkConfig FabricLinkFor(const TuningConfig& tuning) {
+  FabricLinkConfig cfg;
+  cfg.latency = tuning.fabric_latency;
+  cfg.bandwidth_bytes_per_sec = tuning.fabric_bandwidth_bytes_per_sec;
+  cfg.queueing = tuning.fabric_queueing;
+  return cfg;
+}
+
 Bytes ServingShard::fm_used() const {
   return store->fm_direct_bytes() + store->fm_mapping_bytes() +
          (store->row_cache() != nullptr ? store->row_cache()->capacity() : 0);

@@ -4,11 +4,12 @@
 // Every harness that serves queries builds its participants here:
 // HostSimulation (one shard owning a private device stack), MultiTenantHost's
 // shared mode (one shard per tenant on a SharedDeviceService),
-// ClusterSimulation's disaggregated mode (one shard per host on a
-// fabric-attached stack) and ShardedClusterRuntime (one shard per host LP on
-// its slice of the device shard). The builder owns the one derivation of the
-// engine's InferenceConfig from the host spec, and the seed helpers below
-// are the one derivation of per-shard seeds, so the four harnesses serve
+// ClusterSimulation's single loop (one shard per host on a fabric-attached
+// stack) and ShardedClusterRuntime (one shard per host LP on its slice of
+// the device shard). The builder owns the one derivation of the engine's
+// InferenceConfig from the host spec, the seed helpers below are the one
+// derivation of per-shard seeds, and the stack helpers the one derivation of
+// a shared device stack and its fabric ports, so the four harnesses serve
 // identical query streams wherever their configurations agree.
 #pragma once
 
@@ -19,8 +20,10 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "core/model_loader.h"
+#include "fabric/fabric_link.h"
 #include "serving/arrival_loop.h"
 #include "serving/inference_engine.h"
+#include "tenant/shared_device_service.h"
 #include "tenant/tenant.h"
 #include "trace/trace_gen.h"
 
@@ -41,6 +44,14 @@ struct HostSimConfig;
 
 /// Poisson arrival seed of a host seeded with `host_seed`.
 [[nodiscard]] constexpr uint64_t ArrivalSeed(uint64_t host_seed) { return host_seed ^ 0xa11e; }
+
+/// A shared device stack over `host`'s SSDs (HostSimConfig::sm_backing_per_device
+/// each) with the host's tuning, seeded with `seed`. Observability is left
+/// off; the caller attaches its own.
+[[nodiscard]] SharedDeviceConfig DeviceStackConfig(const HostSimConfig& host, uint64_t seed);
+
+/// One fabric port shaped by the tuning's fabric knobs.
+[[nodiscard]] FabricLinkConfig FabricLinkFor(const TuningConfig& tuning);
 
 /// What differs between shards of one harness. Everything else — tuning,
 /// loader options, host CPU and accelerator — comes from the HostSimConfig.

@@ -10,20 +10,11 @@
 
 namespace sdm {
 
-namespace {
-
-/// 64B NVMe SQE on the request direction — same constant the IoEngine
-/// fabric path uses (io_engine.cpp).
-constexpr Bytes kFabricSqeBytes = 64;
-
-}  // namespace
-
 ShardedClusterRuntime::ShardedClusterRuntime(size_t num_hosts,
                                              const HostSimConfig& host_config,
                                              RoutingPolicy policy, size_t num_shards)
     : base_config_(host_config),
       router_(num_hosts, policy, host_config.seed ^ 0xc1u),
-      num_shards_(num_shards),
       runtime_(num_shards) {
   assert(num_hosts >= 1);
   assert(num_shards >= 2);
@@ -39,15 +30,9 @@ ShardedClusterRuntime::ShardedClusterRuntime(size_t num_hosts,
     for (auto& o : obs_) o = std::make_unique<Observability>(base_config_.tuning.obs);
   }
 
-  // Device stack: configured exactly like the single-loop fabric service's
-  // (same specs, tuning, seed — so NvmeDevice seeds match bit-for-bit).
-  SharedDeviceConfig dcfg;
-  for (const auto& ssd : base_config_.host.ssds) {
-    dcfg.sm_specs.push_back(ssd);
-    dcfg.sm_backing_bytes.push_back(base_config_.sm_backing_per_device);
-  }
-  dcfg.tuning = base_config_.tuning;
-  dcfg.seed = base_config_.seed;
+  // Device stack: configured exactly like the single loop's (same specs,
+  // tuning, seed — so NvmeDevice seeds match bit-for-bit).
+  SharedDeviceConfig dcfg = DeviceStackConfig(base_config_, base_config_.seed);
   if (!obs_.empty()) {
     dcfg.obs = obs_[kDeviceLp].get();
     dcfg.obs_prefix = "svc/";
@@ -56,10 +41,7 @@ ShardedClusterRuntime::ShardedClusterRuntime(size_t num_hosts,
                                                  &runtime_.loop(kDeviceLp));
   endpoint_ = std::make_unique<ShardDeviceEndpoint>(stack_.get(), num_hosts);
 
-  FabricLinkConfig lcfg;
-  lcfg.latency = base_config_.tuning.fabric_latency;
-  lcfg.bandwidth_bytes_per_sec = base_config_.tuning.fabric_bandwidth_bytes_per_sec;
-  lcfg.queueing = base_config_.tuning.fabric_queueing;
+  const FabricLinkConfig lcfg = FabricLinkFor(base_config_.tuning);
 
   const size_t ports = stack_->device_count();
   hosts_.resize(num_hosts);

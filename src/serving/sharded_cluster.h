@@ -88,7 +88,6 @@ class ShardedClusterRuntime {
   [[nodiscard]] DisaggregatedRunReport Run(double total_qps, uint64_t num_queries);
 
   [[nodiscard]] size_t host_count() const { return hosts_.size(); }
-  [[nodiscard]] size_t num_shards() const { return num_shards_; }
   [[nodiscard]] SdmStore& host_store(size_t i) { return *hosts_[i].shard.store; }
   /// The device shard's stack (test/report introspection only off-run).
   [[nodiscard]] SharedDeviceService& device_stack() { return *stack_; }
@@ -144,7 +143,6 @@ class ShardedClusterRuntime {
 
   HostSimConfig base_config_;
   StickyRouter router_;
-  size_t num_shards_;
   ShardedRuntime runtime_;
   /// Per-LP observability (index = LP id; empty when obs is off). Declared
   /// before the stacks so the recorders outlive every instrumented

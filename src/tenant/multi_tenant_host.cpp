@@ -44,16 +44,10 @@ Status MultiTenantHost::AddTenant(const ModelConfig& model, Bytes fm_share,
   // ---- Shared mode: a real shard on the common device stack ----
   if (Status s = base_config_.tuning.ValidateForSharedDevice(); !s.ok()) return s;
   if (service_ == nullptr) {
-    SharedDeviceConfig dcfg;
-    for (const auto& ssd : base_config_.host.ssds) {
-      dcfg.sm_specs.push_back(ssd);
-      dcfg.sm_backing_bytes.push_back(base_config_.sm_backing_per_device);
-    }
+    SharedDeviceConfig dcfg = DeviceStackConfig(base_config_, seed_);
     if (dcfg.sm_specs.empty()) {
       return FailedPreconditionError("shared-device multi-tenancy needs a host with SSDs");
     }
-    dcfg.tuning = base_config_.tuning;
-    dcfg.seed = seed_;
     if (base_config_.tuning.obs.enabled()) {
       obs_ = std::make_unique<Observability>(base_config_.tuning.obs);
       dcfg.obs = obs_.get();
@@ -93,10 +87,13 @@ MultiTenantReport MultiTenantHost::RunIsolated(double qps, uint64_t queries) {
     TenantReport tr;
     tr.model_name = t.model.name;
     tr.cls = t.cls;
+    // The throttle's queue time is cumulative; report this run's share, as
+    // shared mode's RunMeter does.
+    const SimDuration queued0 = t.sim->store().throttle().QueueTime(0);
     tr.run = t.sim->Run(qps, queries);
     tr.fm_used = t.sim->shard().fm_used();
     tr.sm_used = t.sim->store().sm_used_bytes();
-    tr.throttle_queue_time = t.sim->store().throttle().QueueTime(0);
+    tr.throttle_queue_time = t.sim->store().throttle().QueueTime(0) - queued0;
     report.fm_total += tr.fm_used;
     report.sm_logical_bytes += tr.sm_used;
     report.tenants.push_back(std::move(tr));

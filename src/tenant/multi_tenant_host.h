@@ -45,7 +45,7 @@ struct TenantReport {
   /// the bus bytes of the foreground- (demand_bytes) and background-lane
   /// SQEs this tenant owned.
   TenantIoShare share;
-  SimDuration throttle_queue_time;  ///< virtual time queued for IO slots
+  SimDuration throttle_queue_time;  ///< virtual time queued for IO slots, this run only
 
   [[nodiscard]] std::string Summary() const;
 };

@@ -16,18 +16,11 @@ ShardDeviceEndpoint::ShardDeviceEndpoint(SharedDeviceService* stack, size_t num_
   assert(queue_depth_ >= 1);
 }
 
-uint64_t ShardDeviceEndpoint::total_cross_host_hits() const {
-  uint64_t total = 0;
-  for (const uint64_t h : cross_host_hits_) total += h;
-  return total;
-}
-
 void ShardDeviceEndpoint::OnDoorbell(size_t port, std::vector<Op> ops) {
   assert(port < ports_.size());
   Port& p = ports_[port];
   ++doorbells_;
   for (Op& op : ops) {
-    ++ops_served_;
     const Key key{op.offset, op.length, op.sub_block};
     if (auto it = p.inflight.find(key); it != p.inflight.end()) {
       // Exact-span join: ride the read already queued or in flight. A
@@ -49,7 +42,6 @@ void ShardDeviceEndpoint::OnDoorbell(size_t port, std::vector<Op> ops) {
     if (p.outstanding >= queue_depth_) {
       // Past the device's global queue-depth bound: wait in arrival order,
       // exactly like the single-loop shared engine's spill queue.
-      ++spilled_;
       p.spill.push_back(key);
       continue;
     }

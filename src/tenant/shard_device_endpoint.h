@@ -82,10 +82,7 @@ class ShardDeviceEndpoint {
   [[nodiscard]] Bytes cross_host_bytes_saved(size_t host) const {
     return cross_host_bytes_saved_[host];
   }
-  [[nodiscard]] uint64_t total_cross_host_hits() const;
   [[nodiscard]] uint64_t doorbells() const { return doorbells_; }
-  [[nodiscard]] uint64_t ops_served() const { return ops_served_; }
-  [[nodiscard]] uint64_t spilled() const { return spilled_; }
 
  private:
   using Key = std::tuple<Bytes, Bytes, bool>;  // offset, length, sub_block
@@ -115,8 +112,6 @@ class ShardDeviceEndpoint {
   std::vector<uint64_t> cross_host_hits_;
   std::vector<Bytes> cross_host_bytes_saved_;
   uint64_t doorbells_ = 0;
-  uint64_t ops_served_ = 0;
-  uint64_t spilled_ = 0;
 };
 
 }  // namespace sdm

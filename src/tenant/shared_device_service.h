@@ -29,10 +29,10 @@
 // also the aggregation point for per-tenant fair-share accounting: bus
 // bytes per lane, cross-tenant single-flight hits, throttle queue time.
 //
-// Disaggregation (src/fabric): a FabricAttachedService wraps this service
-// behind per-device FabricLinks so whole HOSTS — not just tenant stores
-// within a host — share the stack; hosts register through the same
-// RegisterTenant machinery and the ledger above becomes the per-host
+// Disaggregation (src/serving/cluster.h): ClusterSimulation puts this
+// service behind one FabricLink per device port so whole HOSTS — not just
+// tenant stores within a host — share the stack; hosts register through the
+// same RegisterTenant machinery and the ledger above becomes the per-host
 // fair-share ledger.
 //
 // Single-threaded on one EventLoop, like every component it owns. The

@@ -1,15 +1,15 @@
 // Tests for src/fabric: FabricLink timing semantics (latency, bandwidth
 // serialization, per-hop FIFO queueing, full-duplex directions, the instant
-// short-circuit), the IoEngine fabric hop, and FabricAttachedService
-// host registration / ledger plumbing.
+// short-circuit), the IoEngine fabric hop, and the disaggregated cluster's
+// host registration / link / ledger plumbing.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/event_loop.h"
-#include "fabric/fabric_attached_service.h"
 #include "fabric/fabric_link.h"
 #include "io/io_engine.h"
+#include "serving/cluster.h"
 
 namespace sdm {
 namespace {
@@ -217,31 +217,32 @@ TEST_F(FabricEngineFixture, BatchDoorbellCrossesOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// FabricAttachedService.
+// The disaggregated cluster's fabric wiring.
 // ---------------------------------------------------------------------------
 
-TEST(FabricService, AttachesHostsAndInstallsLinks) {
-  EventLoop loop;
-  FabricServiceConfig cfg;
-  cfg.device.sm_specs = {MakeOptaneSsdSpec(), MakeOptaneSsdSpec()};
-  cfg.device.sm_backing_bytes = {8 * kMiB, 8 * kMiB};
-  cfg.link.latency = Micros(3);
-  FabricAttachedService service(cfg, &loop);
+TEST(FabricCluster, AttachesHostsAndInstallsLinks) {
+  HostSimConfig cfg;
+  cfg.host = MakeHwFAO(2);
+  cfg.sm_backing_per_device = 8 * kMiB;
+  cfg.tuning.fabric_latency = Micros(3);
+  ClusterSimulation cluster(2, cfg, RoutingPolicy::kLocal, DisaggregatedConfig{});
+  SharedDeviceService& stack = cluster.device_stack();
 
-  ASSERT_EQ(service.device_service().device_count(), 2u);
+  ASSERT_EQ(stack.device_count(), 2u);
   // Every device engine got its own fabric port.
-  for (size_t d = 0; d < service.device_service().device_count(); ++d) {
-    EXPECT_EQ(service.device_service().io_engine(d).fabric_link(), &service.link(d));
+  EXPECT_NE(stack.io_engine(0).fabric_link(), nullptr);
+  EXPECT_NE(stack.io_engine(1).fabric_link(), nullptr);
+  EXPECT_NE(stack.io_engine(0).fabric_link(), stack.io_engine(1).fabric_link());
+  EXPECT_EQ(stack.io_engine(0).fabric_link()->config().latency, Micros(3));
+  // Every host is a foreground tenant of the stack.
+  ASSERT_EQ(stack.tenant_count(), 2u);
+  for (TenantId id = 0; id < 2; ++id) {
+    EXPECT_EQ(stack.tenant_class(id), TenantClass::kForeground);
+    // Fresh ledger: all zeroes.
+    const TenantIoShare share = stack.tenant_io_share(id);
+    EXPECT_EQ(share.demand_reads, 0u);
+    EXPECT_EQ(share.cross_tenant_hits, 0u);
   }
-  const TenantId a = service.AttachHost("host-a");
-  const TenantId b = service.AttachHost("host-b", TenantClass::kBackground);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(service.host_count(), 2u);
-  EXPECT_EQ(service.device_service().tenant_class(b), TenantClass::kBackground);
-  // Fresh ledger: all zeroes.
-  const TenantIoShare share = service.host_io_share(a);
-  EXPECT_EQ(share.demand_reads, 0u);
-  EXPECT_EQ(share.cross_tenant_hits, 0u);
 }
 
 TEST(DisaggregatedTuning, ValidateForDisaggregated) {

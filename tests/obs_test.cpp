@@ -384,7 +384,6 @@ struct ClusterRun {
 ClusterRun RunClusterObs(size_t hosts, const HostSimConfig& cfg,
                          size_t num_shards, double qps, uint64_t queries) {
   DisaggregatedConfig dc;
-  dc.enabled = true;
   dc.num_shards = num_shards;
   ClusterSimulation cluster(hosts, cfg, RoutingPolicy::kUserSticky, dc);
   EXPECT_TRUE(cluster.LoadModel(ObsModel()).ok());
@@ -529,7 +528,6 @@ TEST(ObsExportStability, ClusterExportsRepeatAndReproduceByteIdentically) {
   HostSimConfig cfg = ObsHostConfig();
   cfg.tuning.obs = FullObs();
   DisaggregatedConfig dc;
-  dc.enabled = true;
   std::string first_metrics, first_trace, first_slo;
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(testing::Message() << "round " << round);

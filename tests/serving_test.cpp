@@ -273,39 +273,42 @@ TEST(Cluster, StickyRoutingIsDeterministic) {
 }
 
 TEST(Cluster, MeanHitRateIgnoresIdleHosts) {
-  // Regression: the old report divided the hit-rate sum by hosts_.size(),
+  // Regression: the old report divided the hit-rate sum by the host count,
   // so idle hosts (empty user share) deflated the mean. One user -> the
   // sticky router sends ALL traffic to one host; the cluster mean must be
   // that host's hit rate, not hit/6.
   ModelConfig model = MakeTinyUniformModel(16, 3, 1, 8000);
   HostSimConfig cfg = SmallHostConfig();
   cfg.workload.num_users = 1;
-  ClusterSimulation cluster(6, cfg, RoutingPolicy::kUserSticky);
+  ClusterSimulation cluster(6, cfg, RoutingPolicy::kUserSticky, DisaggregatedConfig{});
   ASSERT_TRUE(cluster.LoadModel(model).ok());
-  const ClusterRunReport r = cluster.Run(300, 2000);
+  const DisaggregatedRunReport r = cluster.RunDisaggregated(300, 2400);
   ASSERT_EQ(r.hosts.size(), 6u);
   size_t active = 0;
   size_t active_idx = 0;
   for (size_t i = 0; i < r.hosts.size(); ++i) {
-    if (r.hosts[i].queries_served > 0) {
+    if (r.hosts[i].run.queries_served > 0) {
       ++active;
       active_idx = i;
     }
   }
   // Idle hosts are distinguishable: queries_served stays 0 on their
-  // default-constructed report entries.
+  // reports.
   ASSERT_EQ(active, 1u);
-  EXPECT_EQ(r.hosts[active_idx].queries_served, 2000u);
-  EXPECT_GT(r.hosts[active_idx].row_cache_hit_rate, 0.0);
-  EXPECT_DOUBLE_EQ(r.mean_hit_rate, r.hosts[active_idx].row_cache_hit_rate);
+  EXPECT_EQ(r.hosts[active_idx].run.queries_served, 2400u);
+  EXPECT_GT(r.hosts[active_idx].run.row_cache_hit_rate, 0.0);
+  EXPECT_DOUBLE_EQ(r.mean_hit_rate, r.hosts[active_idx].run.row_cache_hit_rate);
 }
 
 TEST(Cluster, LocalRoutingSpreadsArrivalsRoundRobin) {
+  // kLocal keeps every arrival on the host whose frontend drew it, and each
+  // frontend draws an even share of the queries.
   ModelConfig model = MakeTinyUniformModel(16, 3, 1, 8000);
-  ClusterSimulation cluster(3, SmallHostConfig(), RoutingPolicy::kLocal);
+  ClusterSimulation cluster(3, SmallHostConfig(), RoutingPolicy::kLocal,
+                            DisaggregatedConfig{});
   ASSERT_TRUE(cluster.LoadModel(model).ok());
-  const ClusterRunReport r = cluster.Run(300, 900);
-  for (const auto& h : r.hosts) EXPECT_EQ(h.queries_served, 300u);
+  const DisaggregatedRunReport r = cluster.RunDisaggregated(300, 900);
+  for (const auto& h : r.hosts) EXPECT_EQ(h.run.queries_served, 300u);
 }
 
 TEST(Cluster, StickyBeatsRandomOnHitRate) {
@@ -314,13 +317,20 @@ TEST(Cluster, StickyBeatsRandomOnHitRate) {
   host_cfg.workload.num_users = 4000;
   host_cfg.workload.user_index_churn = 0.02;
 
-  ClusterSimulation sticky(4, host_cfg, RoutingPolicy::kUserSticky);
-  ClusterSimulation random(4, host_cfg, RoutingPolicy::kRandom);
+  ClusterSimulation sticky(4, host_cfg, RoutingPolicy::kUserSticky, DisaggregatedConfig{});
+  ClusterSimulation random(4, host_cfg, RoutingPolicy::kRandom, DisaggregatedConfig{});
   ASSERT_TRUE(sticky.LoadModel(model).ok());
   ASSERT_TRUE(random.LoadModel(model).ok());
-  const ClusterRunReport rs = sticky.Run(400, 4000);
-  const ClusterRunReport rr = random.Run(400, 4000);
+  const DisaggregatedRunReport rs = sticky.RunDisaggregated(400, 4000);
+  const DisaggregatedRunReport rr = random.RunDisaggregated(400, 4000);
   EXPECT_GT(rs.mean_hit_rate, rr.mean_hit_rate);
+}
+
+TEST(Cluster, DisabledConfigRefusesToLoad) {
+  DisaggregatedConfig dc;
+  dc.enabled = false;
+  ClusterSimulation cluster(2, SmallHostConfig(), RoutingPolicy::kLocal, dc);
+  EXPECT_EQ(cluster.LoadModel(SmallModel()).code(), StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,9 +400,7 @@ TEST(Disaggregated, CrossHostSingleFlightOverFabric) {
   HostSimConfig cfg = DisaggHostConfig();
   cfg.tuning.fabric_latency = Micros(5);
   DisaggregatedConfig dc;
-  dc.enabled = true;
   ClusterSimulation cluster(2, cfg, RoutingPolicy::kUserSticky, dc);
-  ASSERT_TRUE(cluster.disaggregated());
   ASSERT_TRUE(cluster.LoadModel(DisaggModel()).ok());
   const DisaggregatedRunReport r = cluster.RunDisaggregated(400, 1600);
   ASSERT_EQ(r.hosts.size(), 2u);
@@ -427,7 +435,6 @@ TEST(Disaggregated, FabricQueueingKnobGatesFifoSerialization) {
     cfg.tuning.fabric_bandwidth_bytes_per_sec = 1e8;  // 4KiB -> ~40us on the wire
     cfg.tuning.fabric_queueing = queueing;
     DisaggregatedConfig dc;
-    dc.enabled = true;
     ClusterSimulation cluster(2, cfg, RoutingPolicy::kUserSticky, dc);
     ASSERT_TRUE(cluster.LoadModel(DisaggModel()).ok());
     const DisaggregatedRunReport r = cluster.RunDisaggregated(400, 1600);
@@ -449,7 +456,6 @@ TEST(Disaggregated, InstantFabricByteIdenticalToMultiTenantRunShared) {
   constexpr size_t kHosts = 3;
 
   DisaggregatedConfig dc;
-  dc.enabled = true;
   ClusterSimulation cluster(kHosts, cfg, RoutingPolicy::kLocal, dc);
   ASSERT_TRUE(cluster.LoadModel(model).ok());
 
@@ -462,7 +468,7 @@ TEST(Disaggregated, InstantFabricByteIdenticalToMultiTenantRunShared) {
   const MultiTenantReport rm = mth.Run(150.0, 400);
 
   // Device reads and bus bytes match bit for bit, device by device.
-  SharedDeviceService& cs = cluster.fabric_service()->device_service();
+  SharedDeviceService& cs = cluster.device_stack();
   SharedDeviceService* ms = mth.service();
   ASSERT_NE(ms, nullptr);
   ASSERT_EQ(cs.device_count(), ms->device_count());
@@ -485,35 +491,6 @@ TEST(Disaggregated, InstantFabricByteIdenticalToMultiTenantRunShared) {
   // The instant fabric recorded the traffic it did NOT delay.
   EXPECT_EQ(rc.fabric.responses, rc.sm_device_reads);
   EXPECT_EQ(rc.fabric.queue_time.nanos(), 0);
-}
-
-TEST(Disaggregated, DisabledFabricMatchesIsolatedCluster) {
-  // A DisaggregatedConfig with enabled=false must build the exact isolated
-  // cluster the 3-arg constructor builds.
-  ModelConfig model = MakeTinyUniformModel(16, 3, 1, 8000);
-  HostSimConfig cfg = SmallHostConfig();
-  ClusterSimulation plain(3, cfg, RoutingPolicy::kUserSticky);
-  ClusterSimulation disabled(3, cfg, RoutingPolicy::kUserSticky, DisaggregatedConfig{});
-  EXPECT_FALSE(disabled.disaggregated());
-  ASSERT_TRUE(plain.LoadModel(model).ok());
-  ASSERT_TRUE(disabled.LoadModel(model).ok());
-  const ClusterRunReport a = plain.Run(300, 1500);
-  const ClusterRunReport b = disabled.Run(300, 1500);
-  EXPECT_DOUBLE_EQ(a.mean_hit_rate, b.mean_hit_rate);
-  ASSERT_EQ(a.hosts.size(), b.hosts.size());
-  for (size_t i = 0; i < a.hosts.size(); ++i) {
-    EXPECT_EQ(a.hosts[i].queries_served, b.hosts[i].queries_served);
-    EXPECT_EQ(a.hosts[i].queries_completed, b.hosts[i].queries_completed);
-    EXPECT_EQ(a.hosts[i].p99.nanos(), b.hosts[i].p99.nanos());
-  }
-  for (size_t i = 0; i < plain.size(); ++i) {
-    for (size_t d = 0; d < plain.host(i).store().sm_device_count(); ++d) {
-      EXPECT_EQ(plain.host(i).store().sm_device(d).stats().CounterValue("reads"),
-                disabled.host(i).store().sm_device(d).stats().CounterValue("reads"));
-      EXPECT_EQ(plain.host(i).store().sm_device(d).stats().CounterValue("bus_bytes"),
-                disabled.host(i).store().sm_device(d).stats().CounterValue("bus_bytes"));
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -174,22 +175,11 @@ DisaggregatedRunReport RunCluster(size_t hosts, const HostSimConfig& cfg,
                                   const FaultPlan* plan = nullptr,
                                   const ModelConfig* model = nullptr) {
   DisaggregatedConfig dc;
-  dc.enabled = true;
   dc.num_shards = num_shards;
   ClusterSimulation cluster(hosts, cfg, policy, dc);
   EXPECT_TRUE(cluster.LoadModel(model != nullptr ? *model : ShardedModel()).ok());
   if (plan != nullptr) {
-    if (num_shards >= 2) {
-      EXPECT_TRUE(
-          cluster.sharded_runtime()->InstallFaultPlan(*plan, cfg.seed).ok());
-    } else {
-      // Single-loop installation: one injector over the whole stack. Leaked
-      // into the cluster's lifetime via a static — tests only.
-      static std::vector<std::unique_ptr<FaultInjector>> keep_alive;
-      keep_alive.push_back(std::make_unique<FaultInjector>(
-          *plan, cluster.host_store(0).loop(), cfg.seed));
-      cluster.fabric_service()->InstallFaultInjector(keep_alive.back().get());
-    }
+    EXPECT_TRUE(cluster.InstallFaultPlan(*plan, cfg.seed).ok());
   }
   return cluster.RunDisaggregated(qps, queries);
 }
@@ -318,11 +308,8 @@ TEST(ShardedCluster, ReportIsInvariantAcrossShardCounts) {
 TEST(ShardedCluster, HighLoadExercisesCrossHostSharingAndTheRuntime) {
   const HostSimConfig cfg = ShardedHostConfig();
   DisaggregatedConfig dc;
-  dc.enabled = true;
   dc.num_shards = 2;
   ClusterSimulation cluster(2, cfg, RoutingPolicy::kUserSticky, dc);
-  ASSERT_TRUE(cluster.disaggregated());
-  ASSERT_EQ(cluster.fabric_service(), nullptr);
   ASSERT_NE(cluster.sharded_runtime(), nullptr);
   ASSERT_TRUE(cluster.LoadModel(ShardedModel()).ok());
   const DisaggregatedRunReport r = cluster.RunDisaggregated(2000, 2000);
@@ -347,7 +334,6 @@ TEST(ShardedCluster, HighLoadExercisesCrossHostSharingAndTheRuntime) {
 TEST(ShardedCluster, WarmupThenMeasureRunsBackToBack) {
   const HostSimConfig cfg = ShardedHostConfig();
   DisaggregatedConfig dc;
-  dc.enabled = true;
   dc.num_shards = 2;
   ClusterSimulation cluster(2, cfg, RoutingPolicy::kUserSticky, dc);
   ASSERT_TRUE(cluster.LoadModel(ShardedModel()).ok());
@@ -362,7 +348,6 @@ TEST(ShardedCluster, RejectsInstantFabric) {
   HostSimConfig cfg = ShardedHostConfig();
   cfg.tuning.fabric_latency = SimDuration(0);  // no lookahead -> no windows
   DisaggregatedConfig dc;
-  dc.enabled = true;
   dc.num_shards = 4;
   ClusterSimulation cluster(2, cfg, RoutingPolicy::kLocal, dc);
   const Status s = cluster.LoadModel(ShardedModel());
@@ -375,20 +360,19 @@ TEST(ShardedCluster, RejectsFabricDropPlans) {
   // injectors; the sharded path refuses rather than silently diverging.
   const HostSimConfig cfg = ShardedHostConfig();
   DisaggregatedConfig dc;
-  dc.enabled = true;
   dc.num_shards = 2;
   ClusterSimulation cluster(2, cfg, RoutingPolicy::kLocal, dc);
   ASSERT_TRUE(cluster.LoadModel(ShardedModel()).ok());
   FaultPlan plan;
   plan.FabricDrop(At(Seconds(1)), At(Seconds(2)), 0.5);
-  const Status s = cluster.sharded_runtime()->InstallFaultPlan(plan, 7);
+  const Status s = cluster.InstallFaultPlan(plan, 7);
   EXPECT_FALSE(s.ok());
   // The rejection names the workaround: drop experiments run single-loop.
   EXPECT_NE(s.message().find("num_shards=1"), std::string::npos) << s.ToString();
   // Deterministic kinds still install.
   FaultPlan ok_plan;
   ok_plan.FabricPartition(At(Seconds(1)), At(Seconds(2)));
-  EXPECT_TRUE(cluster.sharded_runtime()->InstallFaultPlan(ok_plan, 7).ok());
+  EXPECT_TRUE(cluster.InstallFaultPlan(ok_plan, 7).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -471,11 +455,37 @@ TEST(ShardedCluster, NumShardsOneKeepsTheSingleLoopPath) {
   // byte-identity anchors in serving_test depend on this).
   const HostSimConfig cfg = ShardedHostConfig();
   DisaggregatedConfig dc;
-  dc.enabled = true;
   dc.num_shards = 1;
   ClusterSimulation cluster(2, cfg, RoutingPolicy::kLocal, dc);
   EXPECT_EQ(cluster.sharded_runtime(), nullptr);
-  EXPECT_NE(cluster.fabric_service(), nullptr);
+  // Every host's store attaches to the one stack device_stack() names.
+  ASSERT_TRUE(cluster.LoadModel(ShardedModel()).ok());
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_EQ(&cluster.host_store(i).device_service(), &cluster.device_stack());
+  }
+}
+
+/// Every line a disaggregated run reports: the cluster summary, then each
+/// host's.
+std::string Fingerprint(const DisaggregatedRunReport& r) {
+  std::string fp = r.Summary();
+  for (const auto& h : r.hosts) fp += "\n" + h.run.Summary();
+  return fp;
+}
+
+TEST(ShardedCluster, EmptyFaultPlanIsInertOnBothSchedules) {
+  // Both schedules take InstallFaultPlan; an empty plan's injector never
+  // fires, so every report stays byte-identical to a run without one.
+  const HostSimConfig cfg = ShardedHostConfig();
+  const FaultPlan empty;
+  for (const size_t k : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "num_shards " << k);
+    const DisaggregatedRunReport plain =
+        RunCluster(2, cfg, RoutingPolicy::kUserSticky, k, 2000, 2000);
+    const DisaggregatedRunReport planned =
+        RunCluster(2, cfg, RoutingPolicy::kUserSticky, k, 2000, 2000, &empty);
+    EXPECT_EQ(Fingerprint(plain), Fingerprint(planned));
+  }
 }
 
 }  // namespace

@@ -646,6 +646,24 @@ TEST(MultiTenantShared, IsolatedModeStillWorks) {
   EXPECT_EQ(r.sm_unique_bytes, r.sm_logical_bytes);
 }
 
+TEST(MultiTenant, IsolatedThrottleQueueTimeIsPerRun) {
+  // Regression: isolated mode reported the store's cumulative queue time,
+  // so a run after a warmup also counted the warmup's queueing. Shared mode
+  // reports this run's delta; both modes must mean the same span.
+  HostSimConfig cfg = TenantHostConfig();
+  cfg.tuning.throttle.max_outstanding_per_table = 1;
+  MultiTenantHost host(cfg, 77);
+  ASSERT_TRUE(host.AddTenant(MakeTinyUniformModel(64, 2, 1, 40'000), 4 * kMiB).ok());
+  (void)host.Run(400, 400);
+  const SimDuration before = host.tenant_store(0).throttle().QueueTime(0);
+  ASSERT_GT(before.nanos(), 0);
+  const MultiTenantReport r = host.Run(400, 400);
+  const SimDuration after = host.tenant_store(0).throttle().QueueTime(0);
+  ASSERT_EQ(r.tenants.size(), 1u);
+  EXPECT_EQ(r.tenants[0].throttle_queue_time.nanos(), (after - before).nanos());
+  EXPECT_LT(r.tenants[0].throttle_queue_time.nanos(), after.nanos());
+}
+
 TEST(MultiTenant, TenantReportSummaryIsPinned) {
   // Exact-output pin for the KvFormatter-built tenant line (see the host
   // and cluster pins in serving_test).
